@@ -10,9 +10,11 @@ cross-replicate memo that serves repeated cells without recompute.
 
 The acceptance workload is the Figure 5 scenario-family analytic pass
 (3 resampled replicates of the 27-cell error-rate grid, no
-simulation): the batched+memoized engine must beat the scalar path
-(``REPRO_ANALYTIC_BATCH=0``) by ``REPRO_BENCH_OPTIMUM_FLOOR`` (default
-5x; the measured gain is ~3x memo x ~4x batch).  The workload is pure
+simulation): the batched+memoized engine must beat the scalar path —
+the same study with a ``point_eval`` hook delegating to
+:func:`~repro.experiments.spec.pattern_point`, which evaluates every
+cell inline — by ``REPRO_BENCH_OPTIMUM_FLOOR`` (default 5x; the
+measured gain is ~3x memo x ~4x batch).  The workload is pure
 single-process compute, so the bench is 1-CPU-safe: the gain measures
 vectorization and dedup, not parallelism.  An exact assertion pins the
 emitted tables of both modes byte-identical — the engine trades only
@@ -22,6 +24,7 @@ time, never bits.  Every measurement lands in ``BENCH_optimum.json``
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -31,7 +34,7 @@ from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
 from repro.experiments.scenarios import Resample, ScenarioSet
-from repro.experiments.spec import run_study
+from repro.experiments.spec import pattern_point, run_study
 
 #: Batched-over-scalar floor on the analytic pass (measured ~12x; the
 #: floor derates for noisy CI hardware while still catching a broken
@@ -56,9 +59,14 @@ def write_bench_json(bench_writer):
     bench_writer("REPRO_BENCH_OPTIMUM_JSON", "BENCH_optimum.json", RESULTS)
 
 
-def _family_pass() -> tuple[float, list[str], dict[str, int]]:
+def _scalar_hook(spec):
+    """``spec`` evaluated cell by cell by the scalar optimisers (no engine)."""
+    return dataclasses.replace(spec, point_eval=lambda c, m, n: pattern_point(c, m, n))
+
+
+def _family_pass(spec=REGISTRY["fig5"]) -> tuple[float, list[str], dict[str, int]]:
     """One full scenario-family analytic pass on a fresh pipeline."""
-    sset = ScenarioSet("bench", REGISTRY["fig5"], [Resample(REPLICATES)])
+    sset = ScenarioSet("bench", spec, [Resample(REPLICATES)])
     with SimulationPipeline(jobs=1) as pipe:
         start = time.perf_counter()
         families = sset.stage(pipe, SETTINGS)
@@ -82,26 +90,11 @@ def _timed(fn, repeats: int = 2):
     return best, payload
 
 
-def _forced_scalar(fn):
-    """Run ``fn`` with the batch engine switched off."""
-
-    def wrapped():
-        previous = os.environ.get("REPRO_ANALYTIC_BATCH")
-        os.environ["REPRO_ANALYTIC_BATCH"] = "0"
-        try:
-            return fn()
-        finally:
-            if previous is None:
-                del os.environ["REPRO_ANALYTIC_BATCH"]
-            else:
-                os.environ["REPRO_ANALYTIC_BATCH"] = previous
-
-    return wrapped
-
-
 def test_batched_analytic_pass_speedup(wallclock_assertions):
     """Acceptance: batched+memoized analytic pass >= floor x scalar."""
-    t_scalar, (scalar_tables, scalar_counts) = _timed(_forced_scalar(_family_pass))
+    t_scalar, (scalar_tables, scalar_counts) = _timed(
+        lambda: _family_pass(_scalar_hook(REGISTRY["fig5"]))
+    )
     t_batch, (batch_tables, batch_counts) = _timed(_family_pass)
 
     # Exact: the engine changes wall-clock only, never a table byte.
@@ -131,9 +124,7 @@ def test_batched_analytic_pass_speedup(wallclock_assertions):
 def test_single_study_engine_gain():
     """Informational: pure engine gain on one cold fig5 grid (no memo)."""
     start = time.perf_counter()
-    scalar_results = _forced_scalar(
-        lambda: (run_study(REGISTRY["fig5"], settings=SETTINGS),)
-    )()[0]
+    scalar_results = run_study(_scalar_hook(REGISTRY["fig5"]), settings=SETTINGS)
     t_scalar = time.perf_counter() - start
     start = time.perf_counter()
     batch_results = run_study(REGISTRY["fig5"], settings=SETTINGS)

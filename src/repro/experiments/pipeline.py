@@ -238,17 +238,8 @@ class SimulationPipeline:
         self._rounds = 0
 
     @property
-    def pool(self):
-        """The executor's pool (or the executor itself when serial).
-
-        Kept for callers sized off ``pipeline.pool.workers``; dispatch
-        goes through :attr:`executor`.
-        """
-        return getattr(self.executor, "pool", self.executor)
-
-    @property
     def pending_points(self) -> int:
-        """Declared-but-unresolved points (see :meth:`resolve`'s ``count``)."""
+        """Declared-but-unresolved points."""
         return len(self._pending)
 
     # -- declaring work ----------------------------------------------------
@@ -436,7 +427,6 @@ class SimulationPipeline:
 
     def resolve(
         self,
-        count: int | None = None,
         max_inflight: int | None = None,
         on_event: Callable[[PointEvent], None] | None = None,
         on_round: Callable[[], object] | None = None,
@@ -444,11 +434,10 @@ class SimulationPipeline:
         """Schedule pending points; deferreds fill as futures complete.
 
         Incremental: only points declared since the last resolve run;
-        the executor and caches persist across rounds.  ``count``
-        restricts the round to the first ``count`` pending points (in
-        declaration order) — kept for wave-style callers; the CLI
-        runner schedules *everything* in one round and relies on
-        ``on_event`` firing per resolved declaration to stream output.
+        the executor and caches persist across rounds.  Every pending
+        point joins one round; ``on_event`` fires per resolved
+        declaration, which is how the CLI runner streams each figure
+        the moment its last point lands.
 
         ``on_round`` turns one resolve call into a *staging loop*:
         callbacks (``on_event`` handlers, or ``on_round`` itself) may
@@ -462,20 +451,19 @@ class SimulationPipeline:
         points are pending.  Without ``on_round`` the behaviour is the
         single-round one, unchanged.
         """
-        self._resolve_round(count, max_inflight, on_event)
+        self._resolve_round(max_inflight, on_event)
         if on_round is None:
             return
         while True:
             progressed = bool(on_round())
             if self._pending:
-                self._resolve_round(None, max_inflight, on_event)
+                self._resolve_round(max_inflight, on_event)
                 continue
             if not progressed:
                 return
 
     def _resolve_round(
         self,
-        count: int | None = None,
         max_inflight: int | None = None,
         on_event: Callable[[PointEvent], None] | None = None,
     ) -> None:
@@ -484,10 +472,7 @@ class SimulationPipeline:
             return
         self._rounds += 1
         round_no = self._rounds
-        if count is None:
-            pending, self._pending = self._pending, []
-        else:
-            pending, self._pending = self._pending[:count], self._pending[count:]
+        pending, self._pending = self._pending, []
 
         requests = [item for kind, item, _, _ in pending if kind == "request"]
         plan = plan_simulations(requests)
@@ -625,14 +610,22 @@ class SimulationPipeline:
         return (self.cache.hits, self.cache.misses)
 
     def close(self) -> None:
-        self.analytic_memo.flush()
-        self.executor.close()
-        if self.trace.enabled and not self.trace.closed:
-            # The final metrics snapshot rides the trace, then the
-            # journal is sealed — `trace summary` cross-checks the
-            # snapshot against the per-event tallies.
-            self.trace.event("snapshot", metrics=self.metrics.snapshot())
-            self.trace.close()
+        """Flush the analytic memo, release the executor, seal the trace.
+
+        The executor and the trace are released even when the flush
+        raises (a full disk, an unwritable cache directory); the flush
+        error still propagates.
+        """
+        try:
+            self.analytic_memo.flush()
+        finally:
+            self.executor.close()
+            if self.trace.enabled and not self.trace.closed:
+                # The final metrics snapshot rides the trace, then the
+                # journal is sealed — `trace summary` cross-checks the
+                # snapshot against the per-event tallies.
+                self.trace.event("snapshot", metrics=self.metrics.snapshot())
+                self.trace.close()
 
     def __enter__(self) -> "SimulationPipeline":
         return self

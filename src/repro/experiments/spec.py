@@ -42,7 +42,6 @@ from ..optimize.allocation import optimize_allocation
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import SCENARIO_IDS, build_model
 from .analytic import AnalyticPoint
-from .analytic import batch_enabled as analytic_batch_enabled
 from .common import FigureResult, SimSettings
 from .pipeline import Deferred, SimulationPipeline, materialize, private_pipeline
 
@@ -214,8 +213,10 @@ def pattern_point(
     ``analytic`` carries the cell's pre-computed
     :class:`~repro.experiments.analytic.AnalyticPoint` when the sweep
     engine resolved the study column through the batch engine; without
-    it the evaluator computes the optima inline (custom ``point_eval``
-    hooks delegating here keep working unchanged).
+    it the evaluator computes the optima inline with the scalar
+    optimisers (custom ``point_eval`` hooks delegating here keep
+    working unchanged, and that inline block is the oracle the batch
+    engine is tested against).
     """
     out: dict[str, Any] = {}
     if analytic is None:
@@ -283,7 +284,7 @@ def _sweep_declare(ctx: StudyContext) -> dict:
     else:
         cells = [(sc, x) for x in ctx.grid for sc in ctx.scenarios]
     models = [ctx.build(sc, x) for sc, x in cells]
-    if evaluate is pattern_point and analytic_batch_enabled():
+    if evaluate is pattern_point:
         points = ctx.pipeline.evaluate_analytic(models)
         for (sc, _), model, point in zip(cells, models, points):
             _store(sc, pattern_point(ctx, model, needed, analytic=point))

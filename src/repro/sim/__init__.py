@@ -50,10 +50,7 @@ from .plan import (
     ResultCache,
     SimRequest,
     SimulationPlan,
-    WorkerPool,
-    execute_plan,
     plan_simulations,
-    simulate_requests,
 )
 from .renewal import simulate_run_renewal
 from .vectorized import simulate_vectorized
@@ -93,7 +90,6 @@ __all__ = [
     "BACKEND_VERSION",
     "SimRequest",
     "SimulationPlan",
-    "WorkerPool",
     "ResultCache",
     "Executor",
     "SerialExecutor",
@@ -102,8 +98,6 @@ __all__ = [
     "make_executor",
     "merge_shard_dirs",
     "plan_simulations",
-    "execute_plan",
-    "simulate_requests",
     "simulate_run_renewal",
     "NodePool",
     "simulate_run_nodes",

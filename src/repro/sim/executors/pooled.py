@@ -1,47 +1,62 @@
-"""Process-pool executor wrapping the shared :class:`WorkerPool`."""
+"""Process-pool executor: the one owner of a run's worker processes."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import os
+from typing import Callable
 
 from ...exceptions import SimulationError
-from ..plan import WorkerPool
 from .base import Executor, JobFuture
 
 __all__ = ["PoolExecutor"]
 
 
 class PoolExecutor(Executor):
-    """Dispatch jobs over one shared process pool.
+    """Dispatch jobs over one process pool shared by every round.
 
-    Accepts either a worker count (``None`` auto-sizes, like
-    :class:`~repro.sim.plan.WorkerPool`) or an existing pool to share.
-    The pool is created lazily on the first parallel dispatch and
-    reused until :meth:`close`.
+    ``workers=None`` auto-sizes to the machine; ``workers <= 1`` (or a
+    host that cannot fork) runs every job inline.  The pool is created
+    lazily on the first submit and reused until :meth:`close`.
 
-    Both surfaces degrade to serial without changing results:
-    :meth:`map` via the pool's own fallback, :meth:`submit` by running
-    the job inline when the pool is unavailable — and a pool that
-    breaks *mid-flight* (a killed worker, a sandbox revoking fork)
-    re-runs the lost jobs inline, which is safe because every job is a
-    pure function of its arguments.
+    Pool-infrastructure failures — a sandbox refusing to fork, an
+    unpicklable job, a killed worker — permanently fall back to inline
+    execution, and jobs lost mid-flight are re-run inline.  Every job
+    is a pure function of its arguments, so the fallback changes
+    wall-clock only, never results.
     """
 
-    def __init__(self, workers: int | WorkerPool | None = None):
-        self.pool = workers if isinstance(workers, WorkerPool) else WorkerPool(workers)
+    def __init__(self, workers: int | None = None):
+        self.workers = (os.cpu_count() or 1) if workers is None else max(1, int(workers))
+        self._pool = None
+        self._broken = False
         #: stdlib future -> JobFuture for jobs genuinely on the pool.
         self._inflight: dict = {}
 
-    @property
-    def workers(self) -> int:  # type: ignore[override]
-        return self.pool.workers
+    def _ensure_pool(self):
+        """The live process pool, or ``None`` (serial, or pool impossible)."""
+        if self.workers <= 1 or self._broken:
+            return None
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return self.pool.map(fn, items)
+            try:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            except OSError:  # pragma: no cover - depends on host sandboxing
+                self.mark_broken()
+        return self._pool
 
     def submit(self, fn: Callable, item, tag=None) -> JobFuture:
+        import pickle
+
         future = JobFuture(fn, item, tag)
-        inner = self.pool.submit(fn, item)
+        pool = self._ensure_pool()
+        inner = None
+        if pool is not None:
+            try:
+                inner = pool.submit(fn, item)
+            except (OSError, pickle.PicklingError, RuntimeError):
+                # pragma: no cover - depends on host sandboxing
+                self.mark_broken()
         if inner is None:  # pool unavailable: permanent serial fallback
             future._run_inline()
             self._completed.append(future)
@@ -69,7 +84,7 @@ class PoolExecutor(Executor):
                 # BaseException, so it needs naming here), not the job:
                 # fall back to serial and replay the pure job for the
                 # identical result.
-                self.pool.mark_broken()
+                self.mark_broken()
                 future._run_inline()
             except Exception as exc:
                 future._fail(exc)
@@ -78,13 +93,26 @@ class PoolExecutor(Executor):
             raise SimulationError("process pool wait returned no completion")
         return self._completed.popleft()
 
+    def mark_broken(self) -> None:
+        """Permanently fall back to inline execution (infra failure)."""
+        self._broken = True
+        self._shutdown()
+
+    def _shutdown(self) -> None:
+        if self._pool is not None:
+            # cancel_futures: a job exception aborts the round mid-run,
+            # and queued-but-unstarted jobs must not keep the worker
+            # processes alive after the executor is closed.
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
     def close(self) -> None:
         # Drop unconsumed bookkeeping along with the pool: a round
         # aborted by a job exception must not leave stale completions
         # whose tags would collide with the next round's.
         self._inflight.clear()
         self._completed.clear()
-        self.pool.close()
+        self._shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PoolExecutor(workers={self.pool.workers})"
+        return f"PoolExecutor(workers={self.workers})"

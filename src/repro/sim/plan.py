@@ -21,10 +21,12 @@ sampling itself.  This module amortises that:
   chunk workers).  Results are therefore **bit-identical** to per-point
   ``simulate_overhead`` calls with the same arguments, whatever the
   pool width;
-* :func:`execute_plan` runs all jobs of all points through one shared
-  :class:`WorkerPool` (created once, reused across figures) and merges
-  the chunks back into per-point
-  :class:`~repro.sim.results.OverheadEstimate` values;
+* :func:`claim_serve_expand` serves memo and disk-cache hits, offers
+  the remaining keys to the executor's claim, and tags every job with
+  its ``(point, part)`` slot for the event-driven
+  :class:`~repro.sim.scheduler.Scheduler`; :func:`merge_request_results`
+  folds a point's parts back into one
+  :class:`~repro.sim.results.OverheadEstimate`, in part order;
 * :class:`ResultCache` is a content-addressed on-disk cache (one
   ``.npz`` per point under a cache directory, keyed by a stable SHA-256
   over the model parameters, pattern, budget, seed, backend and a
@@ -32,9 +34,12 @@ sampling itself.  This module amortises that:
   ``fig5``, ``report`` after ``all``, CI re-runs — skip every
   already-computed point.
 
-The experiment-facing wrapper (deferred values, generic DES jobs for
-the extension studies, CLI flags) lives in
-:mod:`repro.experiments.pipeline`.
+Planning, keys, job expansion and the cache live here; dispatch does
+not.  The one execution path is
+:class:`repro.experiments.pipeline.SimulationPipeline` (deferred
+values, generic DES jobs for the extension studies, CLI flags), which
+drives these pieces through the scheduler and an executor from
+:mod:`repro.sim.executors`.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ __all__ = [
     "BACKEND_VERSION",
     "SimRequest",
     "SimulationPlan",
-    "WorkerPool",
     "ResultCache",
     "CacheEntry",
     "canonical_signature",
@@ -76,12 +80,8 @@ __all__ = [
     "request_jobs",
     "merge_request_results",
     "run_job",
-    "serve_or_expand",
     "PointJobs",
     "claim_serve_expand",
-    "merge_spans",
-    "execute_plan",
-    "simulate_requests",
     "DISPATCH_ORDER",
 ]
 
@@ -376,104 +376,6 @@ def merge_request_results(
     return overhead_estimate(request.model, request.T, request.P, stats)
 
 
-# -- shared worker pool ------------------------------------------------------
-
-
-class WorkerPool:
-    """A process pool created once and shared across all dispatches.
-
-    ``workers=None`` auto-sizes to the machine; ``workers <= 1`` (or a
-    single-core box) runs serially in-process.  Pool-infrastructure
-    failures — a sandbox refusing to fork, an unpicklable job, a killed
-    child — permanently fall back to the serial path, mirroring
-    :func:`repro.sim.batch.dispatch_chunks`; because jobs are pure
-    functions of their arguments, the fallback changes wall-clock only,
-    never results.
-    """
-
-    def __init__(self, workers: int | None = None):
-        self.workers = (os.cpu_count() or 1) if workers is None else max(1, int(workers))
-        self._pool = None
-        self._broken = False
-
-    @property
-    def parallel(self) -> bool:
-        """Whether dispatches may actually use worker processes."""
-        return self.workers > 1 and not self._broken
-
-    def _ensure_pool(self):
-        """The live process pool, or ``None`` (pool impossible here)."""
-        if not self.parallel:
-            return None
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-        except ImportError:  # pragma: no cover - exotic stdlib builds
-            self._broken = True
-            return None
-        try:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
-        except OSError:  # pragma: no cover - depends on host sandboxing
-            self.mark_broken()
-            return None
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Order-preserving map over the pool (serial when unavailable)."""
-        items = list(items)
-        if self.parallel and len(items) > 1:
-            import pickle
-            from concurrent.futures.process import BrokenProcessPool
-
-            pool = self._ensure_pool()
-            if pool is not None:
-                try:
-                    chunksize = max(1, len(items) // (self.workers * 4))
-                    return list(pool.map(fn, items, chunksize=chunksize))
-                except (OSError, pickle.PicklingError, BrokenProcessPool):
-                    # pragma: no cover - depends on host sandboxing
-                    self.mark_broken()
-        return [fn(item) for item in items]
-
-    def submit(self, fn: Callable, item):
-        """Schedule one job on the pool; ``None`` when unavailable.
-
-        A ``None`` return tells the caller to run the job inline (the
-        permanent serial fallback, mirroring :meth:`map`).  Submission
-        failures mark the pool broken exactly like map failures.
-        """
-        import pickle
-
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        try:
-            return pool.submit(fn, item)
-        except (OSError, pickle.PicklingError, RuntimeError):
-            # pragma: no cover - depends on host sandboxing
-            self.mark_broken()
-            return None
-
-    def mark_broken(self) -> None:
-        """Permanently fall back to serial dispatch (infra failure)."""
-        self._broken = True
-        self.close()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            # cancel_futures: a job exception aborts the dispatch loop
-            # mid-run, and queued-but-unstarted jobs must not keep the
-            # worker processes alive after the executor is closed.
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 # -- on-disk result cache ----------------------------------------------------
 
 
@@ -748,49 +650,6 @@ class CacheEntry:
 # -- execution ---------------------------------------------------------------
 
 
-def serve_or_expand(
-    plan: SimulationPlan,
-    cache: ResultCache | None = None,
-    memo: dict | None = None,
-    owned: Callable[[str], bool] | None = None,
-) -> tuple[list, list[tuple], list[tuple[int, int, int]]]:
-    """Serve cached points; expand the rest into one fused job list.
-
-    Returns ``(estimates, jobs, spans)``: per-unique-request estimates
-    (``None`` where a job span must still run), the fused job list in
-    :meth:`SimulationPlan.dispatch_order` (slowest backend first), and
-    ``(request_index, start, stop)`` spans into the job list.  Callers
-    may append further jobs before dispatch — the spans stay valid.
-
-    ``owned`` is the sharding hook (see
-    :class:`repro.sim.executors.ShardedExecutor`): a point whose key it
-    rejects is neither expanded nor computed and its estimate stays
-    ``None`` — cache and memo hits are still served, so a merged cache
-    resolves every shard's points.
-    """
-    estimates: list[OverheadEstimate | None] = [None] * plan.n_unique
-    jobs: list[tuple] = []
-    spans: list[tuple[int, int, int]] = []
-    for i in plan.dispatch_order():
-        key = plan.keys[i]
-        if memo is not None and key in memo:
-            estimates[i] = memo[key]
-            continue
-        if cache is not None:
-            hit = cache.get_estimate(key)
-            if hit is not None:
-                estimates[i] = hit
-                if memo is not None:
-                    memo[key] = hit
-                continue
-        if owned is not None and not owned(key):
-            continue
-        expanded = request_jobs(plan.requests[i], plan.methods[i])
-        spans.append((i, len(jobs), len(jobs) + len(expanded)))
-        jobs.extend(expanded)
-    return estimates, jobs, spans
-
-
 @dataclass
 class PointJobs:
     """In-flight bookkeeping of one unique request's chunk jobs.
@@ -820,13 +679,13 @@ def claim_serve_expand(
 ) -> tuple[list, list[tuple], dict[int, "PointJobs"]]:
     """Cache-serve short-circuit, batch claim, and tagged expansion.
 
-    The event-driven counterpart of :func:`serve_or_expand`: memo and
-    disk hits are served immediately (they never touch the scheduler),
-    the keys still needing compute are offered to the executor's
-    :meth:`~repro.sim.executors.Executor.claim` in **one batch** (so a
-    work-stealing shard sees the whole round and applies its claim
-    order), and each claimed point expands into ``(job, (index, part))``
-    tagged jobs in :meth:`SimulationPlan.dispatch_order`.
+    Memo and disk hits are served immediately (they never touch the
+    scheduler), the keys still needing compute are offered to the
+    executor's :meth:`~repro.sim.executors.Executor.claim` in **one
+    batch** (so a work-stealing shard sees the whole round and applies
+    its claim order), and each claimed point expands into
+    ``(job, (index, part))`` tagged jobs in
+    :meth:`SimulationPlan.dispatch_order`.
 
     Returns ``(estimates, tagged_jobs, books)``: per-unique-request
     estimates (``None`` where jobs must run or the point is unclaimed),
@@ -859,58 +718,3 @@ def claim_serve_expand(
         for part, job in enumerate(expanded):
             tagged.append((job, (i, part)))
     return estimates, tagged, books
-
-
-def merge_spans(
-    plan: SimulationPlan,
-    estimates: list,
-    spans: Sequence[tuple[int, int, int]],
-    results: Sequence,
-    cache: ResultCache | None = None,
-    memo: dict | None = None,
-) -> list[OverheadEstimate]:
-    """Merge job results back into ``estimates`` (cache/memo write-back)."""
-    for i, start, stop in spans:
-        estimate = merge_request_results(
-            plan.requests[i], plan.methods[i], results[start:stop]
-        )
-        estimates[i] = estimate
-        if memo is not None:
-            memo[plan.keys[i]] = estimate
-        if cache is not None:
-            cache.put_estimate(plan.keys[i], estimate)
-    return estimates
-
-
-def execute_plan(
-    plan: SimulationPlan,
-    pool: WorkerPool | None = None,
-    cache: ResultCache | None = None,
-    memo: dict | None = None,
-) -> list[OverheadEstimate]:
-    """Run every unique request of ``plan`` and return aligned estimates.
-
-    Cached points are served from ``cache`` (and ``memo``) without
-    touching the pool; the remaining points expand into chunk jobs that
-    are all dispatched in **one** fused map over the shared pool, then
-    merged per point and written back to the caches.
-    """
-    estimates, jobs, spans = serve_or_expand(plan, cache, memo)
-    results = pool.map(run_job, jobs) if pool is not None else [run_job(j) for j in jobs]
-    return merge_spans(plan, estimates, spans, results, cache, memo)
-
-
-def simulate_requests(
-    requests: Sequence[SimRequest],
-    pool: WorkerPool | None = None,
-    cache: ResultCache | None = None,
-) -> list[OverheadEstimate]:
-    """Plan, execute and fan out: one estimate per *submitted* request.
-
-    Bit-identical to calling
-    :func:`repro.sim.montecarlo.simulate_overhead` once per request
-    with the same arguments, for any pool width and cache state.
-    """
-    plan = plan_simulations(requests)
-    estimates = execute_plan(plan, pool=pool, cache=cache)
-    return [estimates[slot] for slot in plan.slots]

@@ -6,8 +6,7 @@ so a single slow chunk stalled every figure behind it.  This module
 replaces the barrier with a :class:`Scheduler` that treats *all*
 queued jobs — across every study of an invocation — as one stream:
 
-* jobs join the queue in plan dispatch order (slowest backend first,
-  exactly the order the blocking path used);
+* jobs join the queue in plan dispatch order (slowest backend first);
 * the scheduler keeps at most ``max_inflight`` jobs outstanding on the
   executor's :meth:`~repro.sim.executors.base.Executor.submit` /
   :meth:`~repro.sim.executors.base.Executor.next_completed` surface,

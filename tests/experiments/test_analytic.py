@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +21,6 @@ from repro.experiments.analytic import (
     ANALYTIC_VERSION,
     AnalyticMemo,
     AnalyticPoint,
-    batch_enabled,
     evaluate_analytic,
     model_key,
 )
@@ -24,10 +28,34 @@ from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import main
-from repro.experiments.spec import run_study
+from repro.experiments.spec import pattern_point, run_study
 from repro.platforms import build_model
 
 NO_SIM = SimSettings(simulate=False)
+
+#: Studies whose analytic columns the sweep engine batches.
+DEFAULT_EVALUATOR_STUDIES = ("fig2", "fig4", "fig5", "fig6", "fig7")
+
+
+#: One flusher process: 200 dirty flushes of its own growing table.
+FLUSHER = """
+import sys
+from repro.experiments.analytic import AnalyticMemo, AnalyticPoint
+memo = AnalyticMemo(sys.argv[1])
+for i in range(int(sys.argv[3])):
+    memo.put(f"{sys.argv[2]}-{i}", AnalyticPoint(None, None, None, 1.0, 2.0, float(i)))
+    memo.flush()
+"""
+
+
+def scalar_hook(spec):
+    """``spec`` with a custom evaluator that computes every cell inline.
+
+    Delegating to :func:`pattern_point` without an ``analytic`` point
+    runs the scalar optimisers per cell: the oracle the batch engine
+    must match bit for bit.
+    """
+    return dataclasses.replace(spec, point_eval=lambda c, m, n: pattern_point(c, m, n))
 
 
 class TestModelKey:
@@ -109,6 +137,28 @@ class TestAnalyticMemo:
         memo.flush()
         assert not path.exists()
 
+    def test_concurrent_flushes_on_a_shared_dir_never_raise(self, tmp_path):
+        """Several processes flushing one memo file all exit cleanly."""
+        import repro
+
+        path = tmp_path / "analytic_memo.json"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        flushers = [
+            subprocess.Popen(
+                [sys.executable, "-c", FLUSHER, str(path), str(worker), "200"],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for worker in range(4)
+        ]
+        errors = [proc.communicate(timeout=120)[1] for proc in flushers]
+        assert [proc.returncode for proc in flushers] == [0] * 4, errors
+        final = AnalyticMemo(path)
+        assert len(final) >= 200  # one whole table won the last rename
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
 
 class TestEvaluateAnalytic:
     def test_intra_call_dedup(self):
@@ -149,18 +199,19 @@ class TestEvaluateAnalytic:
 
 
 class TestSweepEngineParity:
-    def test_batch_flag_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYTIC_BATCH", raising=False)
-        assert batch_enabled()
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        assert not batch_enabled()
+    def test_batch_engine_is_the_default(self):
+        with SimulationPipeline(jobs=1) as pipe:
+            run_study(REGISTRY["fig5"], settings=NO_SIM, pipeline=pipe)
+            assert pipe.analytic_memo.evaluated == 27
+        with SimulationPipeline(jobs=1) as pipe:
+            run_study(scalar_hook(REGISTRY["fig5"]), settings=NO_SIM, pipeline=pipe)
+            assert pipe.analytic_memo.lookups == 0  # the hook bypasses the engine
 
-    def test_sweep_tables_identical_with_engine_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
-        batch = run_study(REGISTRY["fig5"], settings=NO_SIM)
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        scalar = run_study(REGISTRY["fig5"], settings=NO_SIM)
-        assert [r.table() for r in batch] == [r.table() for r in scalar]
+    def test_sweep_tables_identical_with_engine_off(self):
+        for name in DEFAULT_EVALUATOR_STUDIES:
+            batch = run_study(REGISTRY[name], settings=NO_SIM)
+            scalar = run_study(scalar_hook(REGISTRY[name]), settings=NO_SIM)
+            assert [r.table() for r in batch] == [r.table() for r in scalar], name
 
 
 class TestCacheStatsCLI:

@@ -315,7 +315,7 @@ class TestStreamingAll:
         assert positions == sorted(positions)
 
     def test_figure_emitted_before_later_waves_resolve(self):
-        """fig2's table is ready while fig5's points are still pending."""
+        """fig2's table streams out while fig5's points are still pending."""
         from repro.io.stream import StreamingEmitter
         import io
 
@@ -326,11 +326,22 @@ class TestStreamingAll:
             emitter = StreamingEmitter(stream=buffer)
             emitter.add(first)
             emitter.add(later)
-            pipe.resolve(count=first.n_pending)
+            fig2_events = []
+            seen_at_fig2_done = []
+
+            def on_event(event):
+                emitter.pump()
+                if event.group == "fig2":
+                    fig2_events.append(event)
+                    if len(fig2_events) == first.n_pending:
+                        seen_at_fig2_done.append(
+                            (buffer.getvalue(), later.ready())
+                        )
+
+            pipe.resolve(on_event=on_event)
             emitter.pump()
-            assert "Figure 2" in buffer.getvalue()
-            assert "Figure 5" not in buffer.getvalue()
-            assert later.n_pending > 0 and not later.ready()
-            pipe.resolve()
-            emitter.pump()
+        (text, fig5_ready), = seen_at_fig2_done
+        assert "Figure 2" in text
+        assert "Figure 5" not in text
+        assert not fig5_ready
         assert "Figure 5(c)" in buffer.getvalue()

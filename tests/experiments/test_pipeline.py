@@ -137,11 +137,11 @@ class TestPrivatePipeline:
     def test_sized_from_settings_workers(self):
         from repro.experiments.pipeline import private_pipeline
 
-        assert private_pipeline(SETTINGS).pool.workers == 1
+        assert private_pipeline(SETTINGS).executor.workers == 1
         sized = private_pipeline(
             SimSettings(fidelity=SETTINGS.fidelity, seed=1, workers=3)
         )
-        assert sized.pool.workers == 3
+        assert sized.executor.workers == 3
         sized.close()
 
     def test_direct_run_with_workers_still_bit_identical(self):
@@ -219,3 +219,30 @@ class TestOnRoundStagingLoop:
             pipe.resolve()
             late = pipe.simulate_mean(model, 4000.0, 512.0, SETTINGS)
         assert d.ready and not late.ready
+
+
+def _double(x):
+    return 2 * x
+
+
+class TestCloseReleasesOnFlushFailure:
+    def test_pool_and_trace_closed_when_memo_flush_raises(self, tmp_path, monkeypatch):
+        """A failing memo flush (full disk) still frees workers and seals the trace."""
+        from repro.experiments.analytic import AnalyticMemo
+        from repro.obs.trace import TraceWriter
+
+        def refuse(self):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(AnalyticMemo, "flush", refuse)
+        trace = TraceWriter(tmp_path / "trace.jsonl")
+        pipe = SimulationPipeline(jobs=2, cache_dir=tmp_path / "cache", trace=trace)
+        deferred = pipe.call(_double, 21)
+        pipe.resolve()
+        assert deferred.value == 42
+        assert pipe.executor._pool is not None  # the round spawned the pool
+        with pytest.raises(OSError, match="no space"):
+            pipe.close()
+        assert pipe.executor._pool is None
+        assert trace.closed
+        assert '"snapshot"' in (tmp_path / "trace.jsonl").read_text()

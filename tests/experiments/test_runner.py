@@ -63,14 +63,14 @@ class TestPipelineFlags:
 
         args = build_parser().parse_args(["fig2", "--workers", "3"])
         with _pipeline_from_args(args) as pipe:
-            assert pipe.pool.workers == 3
+            assert pipe.executor.workers == 3
 
     def test_flagless_default_is_serial(self):
         from repro.experiments.runner import _pipeline_from_args
 
         args = build_parser().parse_args(["fig2"])
         with _pipeline_from_args(args) as pipe:
-            assert pipe.pool.workers == 1
+            assert pipe.executor.workers == 1
             assert pipe.cache is None
 
     def test_jobs_overrides_workers(self):
@@ -78,7 +78,7 @@ class TestPipelineFlags:
 
         args = build_parser().parse_args(["fig2", "--workers", "3", "--jobs", "2"])
         with _pipeline_from_args(args) as pipe:
-            assert pipe.pool.workers == 2
+            assert pipe.executor.workers == 2
 
     def test_no_cache_bypasses_cache_dir(self, tmp_path):
         from repro.experiments.runner import _pipeline_from_args

@@ -1,4 +1,4 @@
-"""Fused simulation planning: requests, keys, cache, shared-pool dispatch."""
+"""Fused simulation planning: requests, keys, cache, scheduled dispatch."""
 
 from __future__ import annotations
 
@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.sim.executors import PoolExecutor
 from repro.sim.montecarlo import simulate_overhead
 from repro.sim.plan import (
     BACKEND_VERSION,
     ResultCache,
     SimRequest,
-    WorkerPool,
     canonical_signature,
-    execute_plan,
+    claim_serve_expand,
     plan_simulations,
     request_jobs,
     request_key,
-    simulate_requests,
 )
 from repro.sim.results import OverheadEstimate
 
@@ -109,10 +108,15 @@ class TestPlanSimulations:
         groups = plan.groups()
         assert set(groups) == {"batch", "des"}
 
-    def test_dispatch_order_puts_slow_backends_first(self, hera_sc1, request_):
+    def test_dispatch_order_puts_slow_backends_first(
+        self, hera_sc1, request_, simulate_requests
+    ):
         des = SimRequest(hera_sc1, 6000.0, 256.0, 4, 5, seed=3, method="des")
         plan = plan_simulations([request_, des])  # batch is unique index 0
         assert plan.dispatch_order() == [1, 0]
+        # The scheduler receives every des job ahead of the batch job.
+        _, tagged, _ = claim_serve_expand(plan)
+        assert [tag[0] for _, tag in tagged] == [1] * len(request_jobs(des)) + [0]
         # Dispatch order never changes the returned values or alignment.
         fused = simulate_requests([request_, des])
         assert fused[0].n_runs == request_.n_runs
@@ -146,7 +150,9 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("method", ["batch", "vectorized", "des"])
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_matches_sequential(self, hera_sc1, hera_sc3, method, workers):
+    def test_matches_sequential(
+        self, hera_sc1, hera_sc3, method, workers, simulate_requests
+    ):
         n_runs, n_patterns = (6, 8) if method == "des" else (10, 20)
         points = [(hera_sc1, 6000.0, 256.0), (hera_sc3, 5000.0, 512.0)]
         sequential = [
@@ -162,17 +168,17 @@ class TestBitIdentity:
         fused = simulate_requests(requests)
         assert fused == sequential
 
-    def test_pool_width_never_changes_results(self, hera_sc1):
+    def test_pool_width_never_changes_results(self, hera_sc1, simulate_requests):
         requests = [
             SimRequest(hera_sc1, 6000.0, 256.0, 10, 20, seed=5, workers=2),
             SimRequest(hera_sc1, 7000.0, 256.0, 10, 20, seed=5, workers=2),
         ]
         serial = simulate_requests(requests)
-        with WorkerPool(2) as pool:
-            pooled = simulate_requests(requests, pool=pool)
+        with PoolExecutor(2) as executor:
+            pooled = simulate_requests(requests, executor=executor)
         assert serial == pooled
 
-    def test_error_free_point(self):
+    def test_error_free_point(self, simulate_requests):
         from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 
         model = PatternModel(
@@ -187,17 +193,16 @@ class TestBitIdentity:
 
 
 class TestWorkerPool:
+    """Sizing of the process pool a :class:`PoolExecutor` owns."""
+
     def test_serial_when_single_worker(self):
-        pool = WorkerPool(1)
-        assert not pool.parallel
-        assert pool.map(abs, [-1, -2]) == [1, 2]
+        with PoolExecutor(1) as executor:
+            future = executor.submit(abs, -2)
+            assert future.done and future.result() == 2
+            assert executor._pool is None  # no process was ever spawned
 
     def test_zero_clamps_to_serial(self):
-        assert WorkerPool(0).workers == 1
-
-    def test_parallel_map_preserves_order(self):
-        with WorkerPool(2) as pool:
-            assert pool.map(abs, list(range(-8, 0))) == list(range(8, 0, -1))
+        assert PoolExecutor(0).workers == 1
 
 
 class TestResultCache:
@@ -226,13 +231,16 @@ class TestResultCache:
         (tmp_path / ("c" * 64 + ".npz")).write_bytes(b"not an npz")
         assert cache.get_estimate("c" * 64) is None
 
-    def test_execute_plan_uses_cache(self, tmp_path, hera_sc1):
+    def test_scheduled_plan_uses_cache(self, tmp_path, hera_sc1, run_plan):
         req = SimRequest(hera_sc1, 6000.0, 256.0, 10, 20, seed=5)
         plan = plan_simulations([req])
         cache = ResultCache(tmp_path)
-        cold = execute_plan(plan, cache=cache)
+        cold = run_plan(plan, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
-        warm = execute_plan(plan, cache=ResultCache(tmp_path))
+        warm_cache = ResultCache(tmp_path)
+        _, jobs, _ = claim_serve_expand(plan, warm_cache)
+        assert jobs == []  # a warm cache expands no job
+        warm = run_plan(plan, cache=ResultCache(tmp_path))
         assert warm == cold
 
     def test_backend_version_isolates_entries(self, hera_sc1, request_, monkeypatch):

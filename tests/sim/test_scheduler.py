@@ -267,9 +267,9 @@ class TestClaimOrder:
 
 
 class TestScheduledShardEquivalence:
-    def test_stealing_union_matches_serial(self, tmp_path):
+    def test_stealing_union_matches_serial(self, tmp_path, run_plan):
         """Both stealing shards together cover the plan, bit for bit."""
-        from repro.sim.plan import ResultCache, execute_plan
+        from repro.sim.plan import ResultCache
         from repro.sim.executors import merge_shard_dirs
 
         model = build_model("Hera", 1)
@@ -282,7 +282,7 @@ class TestScheduledShardEquivalence:
             for i in range(8)
         ]
         plan = plan_simulations(requests)
-        serial = execute_plan(plan)
+        serial = run_plan(plan)
         for index in (0, 1):
             executor = ShardedExecutor(
                 index, 2, mode="stealing", claim_dir=tmp_path / "claims"
@@ -294,7 +294,7 @@ class TestScheduledShardEquivalence:
                     pipe.simulate_mean(model, request.T, request.P, settings)
                 pipe.resolve()
         merge_shard_dirs([tmp_path / "s0", tmp_path / "s1"], tmp_path / "merged")
-        merged = execute_plan(plan, cache=ResultCache(tmp_path / "merged"))
+        merged = run_plan(plan, cache=ResultCache(tmp_path / "merged"))
         assert [e.mean for e in merged] == [e.mean for e in serial]
 
 

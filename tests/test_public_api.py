@@ -13,6 +13,19 @@ class TestTopLevel:
     def test_version(self):
         assert repro.__version__ == "1.9.0"
 
+    def test_package_metadata_reads_the_code_version(self):
+        """``pyproject.toml`` must not hard-code a second version string."""
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        module, name = attr.rsplit(".", 1)
+        assert getattr(importlib.import_module(module), name) == repro.__version__
+
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name!r}"
