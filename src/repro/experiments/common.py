@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class SimSettings:
     fidelity: Fidelity = FAST
     seed: int = DEFAULT_SEED
     method: str = "auto"
-    workers: int | None = None
 
     def budget(self) -> tuple[int, int]:
         return self.fidelity.n_runs, self.fidelity.n_patterns
@@ -68,7 +67,6 @@ def simulate_mean(
         n_patterns=n_patterns,
         seed=settings.seed,
         method=settings.method,
-        workers=settings.workers,
     )
     return est.mean
 
@@ -107,7 +105,3 @@ class FigureResult:
         return np.array(
             [np.nan if v is None else float(v) for v in self.column(name)], dtype=float
         )
-
-
-def fmt_scenarios(scenarios: Sequence[int]) -> str:
-    return ",".join(str(s) for s in scenarios)

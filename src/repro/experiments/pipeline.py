@@ -2,9 +2,9 @@
 
 Figure modules used to call :func:`repro.experiments.common.simulate_mean`
 once per (scenario, x-point) — hundreds of small, strictly sequential
-``simulate_overhead`` calls per full evaluation, each paying its own
-chunk-plan and (with ``--workers``) process-pool setup.  This module
-batches them:
+``simulate_overhead`` calls per full evaluation.  This module batches
+them, and is the only place samples run in parallel (``jobs=N``, the
+CLI's ``--jobs``):
 
 * a figure declares every Monte-Carlo point of its sweep up front by
   calling :meth:`SimulationPipeline.simulate_mean`, which returns a
@@ -69,7 +69,6 @@ __all__ = [
     "PointEvent",
     "SimulationPipeline",
     "materialize",
-    "private_pipeline",
 ]
 
 
@@ -126,18 +125,6 @@ class PointEvent:
     group: str | None
     status: str
     key: str | None = None
-
-
-def private_pipeline(settings: "SimSettings") -> "SimulationPipeline":
-    """A figure module's fallback pipeline when none was passed in.
-
-    Sized from ``settings.workers`` so a direct ``run(...)`` call with
-    ``SimSettings(workers=N)`` keeps its pre-pipeline parallelism (one
-    pool for the whole sweep instead of one per point); serial
-    otherwise.  The creator must :meth:`SimulationPipeline.close` it
-    after resolving.
-    """
-    return SimulationPipeline(jobs=settings.workers if settings.workers else 1)
 
 
 def materialize(obj):
@@ -264,7 +251,6 @@ class SimulationPipeline:
             n_patterns=n_patterns,
             seed=settings.seed,
             method=settings.method,
-            workers=settings.workers,
         )
         deferred = Deferred()
         self._pending.append(("request", request, deferred, self.current_group))
@@ -609,9 +595,11 @@ class SimulationPipeline:
             return (0, 0)
         return (self.cache.hits, self.cache.misses)
 
-    def close(self) -> None:
+    def close(self, status: str = "complete") -> None:
         """Flush the analytic memo, release the executor, seal the trace.
 
+        ``status`` is the run's outcome as the trace's ``trace_end``
+        event records it (``"failed"`` when the ``with`` block raised).
         The executor and the trace are released even when the flush
         raises (a full disk, an unwritable cache directory); the flush
         error still propagates.
@@ -625,10 +613,10 @@ class SimulationPipeline:
                 # journal is sealed — `trace summary` cross-checks the
                 # snapshot against the per-event tallies.
                 self.trace.event("snapshot", metrics=self.metrics.snapshot())
-                self.trace.close()
+                self.trace.close(status)
 
     def __enter__(self) -> "SimulationPipeline":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close("complete" if exc_type is None else "failed")

@@ -59,14 +59,10 @@ from ..obs.trace import TRACE_NAME, TraceWriter
 from .analytic import AnalyticMemo
 from .common import FigureResult, SimSettings
 from .pipeline import SimulationPipeline
-from .registry import REGISTRY, RUNNERS, find_spec, get_spec
+from .registry import REGISTRY, find_spec, get_spec
 from .spec import StudySpec, stage_study
 
 __all__ = ["main", "print_input_tables", "print_command_index", "check_experiments_md"]
-
-#: Study name -> historical ``run()`` callable (derived from the
-#: registry; kept under the old name for API compatibility).
-_FIGURES = RUNNERS
 
 #: Real subcommands that are not figure pipelines; references to them
 #: in EXPERIMENTS.md are legitimate and exempt from the drift check.
@@ -137,7 +133,6 @@ def _settings_from_args(args: argparse.Namespace) -> SimSettings:
         fidelity=fidelity,
         seed=args.seed,
         method=args.method,
-        workers=args.workers,
     )
 
 
@@ -207,11 +202,12 @@ def _pipeline_from_args(
 ) -> SimulationPipeline:
     """One shared pipeline (executor + caches) for a whole CLI invocation.
 
-    ``--jobs`` defaults to ``--workers`` so a worker request keeps its
-    pre-pipeline wall-clock meaning (parallel simulation), now served
-    by one executor shared across every figure instead of one pool per
-    simulated point; with neither flag the pipeline runs serially.
-    Shard flags wrap the executor in a
+    ``--jobs N`` sizes the one process pool every figure shares; without
+    it the pipeline runs serially.  Every flag combination (shard vs
+    cache flags, ``--run-id``/``--resume`` without a cache) is checked
+    before the trace writer or the pipeline exists, so misuse fails
+    without doing work or leaving a journal behind.  Shard flags wrap
+    the executor in a
     :class:`~repro.sim.executors.ShardedExecutor` and point the result
     cache at the shard output directory.  Every pipeline carries one
     :class:`~repro.obs.metrics.MetricsRegistry` and (with ``--trace``)
@@ -219,8 +215,25 @@ def _pipeline_from_args(
     spine the progress printer, dry-run report, resume summary and
     manifest snapshot all read.
     """
-    jobs = args.jobs if args.jobs is not None else args.workers
-    jobs = 1 if jobs is None else jobs
+    shard = _shard_args(args)
+    if shard is not None and (args.cache_dir is not None or args.no_cache):
+        # A shard writes its npz output through the cache layer, so
+        # the cache flags would be silently overridden — refuse.
+        raise SystemExit(
+            "--cache-dir/--no-cache cannot be combined with shard flags; "
+            "the shard writes to --shard-dir (merge the shards, then run "
+            "with --cache-dir on the merged directory)"
+        )
+    if getattr(args, "run_id", None) is None:
+        if getattr(args, "resume", False):
+            raise SystemExit("--resume requires --run-id (whose manifest to resume)")
+    elif shard is None and (args.no_cache or args.cache_dir is None):
+        raise SystemExit(
+            "--run-id needs a result cache (--cache-dir or --shard-dir): the "
+            "manifest journals point fates; the cache holds the values a "
+            "resume reuses"
+        )
+    jobs = 1 if args.jobs is None else args.jobs
     max_inflight = getattr(args, "max_inflight", None)
     if max_inflight is not None and max_inflight < 1:
         raise SystemExit("--max-inflight must be >= 1")
@@ -233,16 +246,7 @@ def _pipeline_from_args(
             raise SystemExit(str(exc)) from None
     trace = _trace_from_args(args, argv)
     metrics = MetricsRegistry()
-    shard = _shard_args(args)
     if shard is not None:
-        if args.cache_dir is not None or args.no_cache:
-            # A shard writes its npz output through the cache layer, so
-            # the cache flags would be silently overridden — refuse.
-            raise SystemExit(
-                "--cache-dir/--no-cache cannot be combined with shard flags; "
-                "the shard writes to --shard-dir (merge the shards, then run "
-                "with --cache-dir on the merged directory)"
-            )
         index, count = shard
         claim_ttl = getattr(args, "claim_ttl", None)
         if claim_ttl is None:
@@ -413,15 +417,7 @@ def _recorder_from_args(
     run_id = getattr(args, "run_id", None)
     resume = getattr(args, "resume", False)
     if run_id is None:
-        if resume:
-            raise SystemExit("--resume requires --run-id (whose manifest to resume)")
         return None
-    if pipeline.cache is None:
-        raise SystemExit(
-            "--run-id needs a result cache (--cache-dir or --shard-dir): the "
-            "manifest journals point fates; the cache holds the values a "
-            "resume reuses"
-        )
     runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
     try:
         if not resume:
@@ -540,17 +536,11 @@ def _add_sim_options(
         "budgets, batch below; des is the slow event-driven reference",
     )
     sub.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the vectorized backend's chunk dispatch",
-    )
-    sub.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="worker processes of the fused simulation pipeline's shared "
-        "pool (default: the --workers value, else serial)",
+        help="worker processes of the simulation pipeline's one shared "
+        "pool (default: serial)",
     )
     sub.add_argument(
         "--max-inflight",
@@ -1038,25 +1028,6 @@ def check_experiments_md(path: str | Path, stream=None) -> int:
         return 1
     print(f"[index] {path} covers all {len(required)} commands", file=stream)
     return 0
-
-
-def _run_figure(
-    name: str,
-    args: argparse.Namespace,
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Stage, resolve and assemble one registered study (library helper)."""
-    spec = get_spec(name)
-    own_pipeline = pipeline is None
-    pipe = pipeline if pipeline is not None else _pipeline_from_args(args)
-    try:
-        staged = _stage_specs([spec], args, pipe)
-        results: list[tuple[str, list[FigureResult]]] = []
-        _resolve_and_emit(staged, pipe, emitter=None, collect=results)
-        return [r for _, batch in results for r in batch]
-    finally:
-        if own_pipeline:
-            pipe.close()
 
 
 def _write_report(

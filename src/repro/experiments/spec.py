@@ -43,7 +43,7 @@ from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import SCENARIO_IDS, build_model
 from .analytic import AnalyticPoint
 from .common import FigureResult, SimSettings
-from .pipeline import Deferred, SimulationPipeline, materialize, private_pipeline
+from .pipeline import Deferred, SimulationPipeline, materialize
 
 __all__ = [
     "AxisSpec",
@@ -498,11 +498,10 @@ def run_study(
 ) -> list[FigureResult]:
     """Declare, resolve and assemble one study (the ``run()`` backbone).
 
-    With no ``pipeline``, a private one sized from ``settings.workers``
-    is created and closed, exactly like the historical per-figure
-    ``run(...)`` path.
+    With no ``pipeline``, a private serial one is created and closed;
+    pass ``pipeline=SimulationPipeline(jobs=N)`` to sample on a pool.
     """
-    pipe = pipeline if pipeline is not None else private_pipeline(settings)
+    pipe = pipeline if pipeline is not None else SimulationPipeline()
     try:
         staged = stage_study(
             spec,

@@ -4,6 +4,10 @@
 :mod:`repro.obs.trace`) into one JSON-serialisable document answering
 the questions a 40-minute sweep raises afterwards:
 
+* **status** — the outcome ``trace_end`` recorded (``complete`` or
+  ``failed``), or ``None`` when the journal has no ``trace_end`` (the
+  process died before sealing it); anything but ``complete`` is
+  flagged in the text rendering;
 * **phases** — wall time per span name (declare / execute), so "where
   did the time go" has a number per layer;
 * **scheduler** — integrated in-flight time over the scheduling
@@ -69,6 +73,9 @@ def _mean_inflight(intervals) -> tuple[float, float]:
 def summarize(events: list[dict]) -> dict:
     """Fold one trace into the summary document (see module docstring)."""
     wall = max((e["t"] for e in events), default=0.0)
+    status = next(
+        (e["status"] for e in reversed(events) if e["ev"] == "trace_end"), None
+    )
 
     # Per-phase wall time from span pairs (matched on sid).
     begins: dict[int, dict] = {}
@@ -191,6 +198,7 @@ def summarize(events: list[dict]) -> dict:
         "schema": SUMMARY_SCHEMA,
         "events": len(events),
         "wall_seconds": round(wall, 6),
+        "status": status,
         "phases": phases,
         "studies": studies,
         "fates": fates,
@@ -215,10 +223,20 @@ def _table(lines: list[str], header: tuple, rows: list[tuple]) -> None:
 
 def render_summary_text(summary: dict) -> list[str]:
     """The summary document as terminal lines (``--format text``)."""
+    status = summary["status"]
     lines = [
         f"[trace] {summary['events']} events over "
-        f"{summary['wall_seconds']:.3f}s wall"
+        f"{summary['wall_seconds']:.3f}s wall, status {status or 'unsealed'}"
     ]
+    if status != "complete":
+        lines.append(
+            "[trace] WARNING: the run did not complete"
+            + (
+                f" (trace_end status {status!r})"
+                if status is not None
+                else " (no trace_end: the process died before sealing the journal)"
+            )
+        )
     if summary["phases"]:
         lines.append("[phases]")
         _table(

@@ -23,12 +23,16 @@ Backends
     Per-pattern closed-form sampler (:func:`repro.sim.batch.simulate_batch`).
 ``"vectorized"``
     Whole-budget aggregated sampler
-    (:func:`repro.sim.vectorized.simulate_vectorized`); chunked and
-    optionally multiprocess, another order of magnitude faster on
-    paper-fidelity budgets.
+    (:func:`repro.sim.vectorized.simulate_vectorized`); chunked, another
+    order of magnitude faster on paper-fidelity budgets.
 ``"auto"`` (default)
     ``vectorized`` for budgets of at least
     :data:`VECTORIZED_THRESHOLD` pattern cells, ``batch`` below.
+
+One call runs in-process.  To sample many points on a process pool,
+declare them on a :class:`repro.experiments.pipeline.SimulationPipeline`
+(``jobs=N``, the CLI's ``--jobs``); its values are bit-identical to
+calling :func:`simulate_overhead` once per point.
 """
 
 from __future__ import annotations
@@ -102,7 +106,6 @@ def simulate_overhead(
     n_patterns: int = FAST.n_patterns,
     seed: int | None = None,
     method: str = "auto",
-    workers: int | None = None,
 ) -> OverheadEstimate:
     """Estimate the expected execution overhead of PATTERN(T, P) by simulation.
 
@@ -123,13 +126,6 @@ def simulate_overhead(
         :data:`VECTORIZED_THRESHOLD` cells and ``"batch"`` below;
         ``"des"`` is the event-driven reference (~1000x slower, for
         validation).
-    workers:
-        Worker-process count for the chunk dispatch of the array
-        backends (``"des"`` ignores it).  An explicit ``workers > 1``
-        refines the chunk plan, so it selects a different (equally
-        valid) sample stream: results are reproducible for fixed call
-        arguments, and whether the pool actually starts never changes
-        the numbers — only the wall-clock.
     """
     method = resolve_method(method, n_runs, n_patterns)
     if method == "batch":
@@ -137,16 +133,12 @@ def simulate_overhead(
             # Bound the per-pattern transient arrays of giant custom
             # budgets; below the cap the single-pass sampler keeps its
             # historical RNG stream.
-            stats = simulate_batch_chunked(
-                model, T, P, n_runs, n_patterns, seed, workers=workers
-            )
+            stats = simulate_batch_chunked(model, T, P, n_runs, n_patterns, seed)
         else:
             stats = simulate_batch(model, T, P, n_runs, n_patterns, make_rng(seed))
         return overhead_estimate(model, T, P, stats)
     if method == "vectorized":
-        stats = simulate_vectorized(
-            model, T, P, n_runs, n_patterns, seed, workers=workers
-        )
+        stats = simulate_vectorized(model, T, P, n_runs, n_patterns, seed)
         return overhead_estimate(model, T, P, stats)
     rngs = spawn_rngs(n_runs, seed)
     runs = [simulate_run(model, T, P, n_patterns, rng) for rng in rngs]

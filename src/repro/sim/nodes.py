@@ -111,41 +111,30 @@ class NodePool:
 
 
 class _NodeRun:
-    """VC protocol driven by a node-level failure pool."""
+    """VC protocol driven by a failure pool (``None``: no fail-stop errors).
+
+    Also the engine of :func:`repro.sim.renewal.simulate_run_renewal`:
+    a one-node pool without warm-up is one persistent renewal stream.
+    """
 
     def __init__(
         self,
         model: PatternModel,
         T: float,
-        P: int,
+        P: float,
         rng: np.random.Generator,
-        node_process: ArrivalProcess | None,
-        stationary: bool,
+        pool: NodePool | None,
     ) -> None:
-        if T <= 0.0:
-            raise SimulationError(f"pattern period must be positive, got {T!r}")
-        if P < 1:
-            raise SimulationError(f"node count must be >= 1, got {P!r}")
         self.rng = rng
         self.T = float(T)
-        if node_process is None:
-            lam_node = model.errors.lambda_ind * model.errors.fail_stop_fraction
-            if lam_node <= 0.0:
-                raise SimulationError(
-                    "node-level simulation needs a positive per-node fail-stop "
-                    "rate or an explicit node_process"
-                )
-            node_process = ExponentialArrivals(lam_node)
-        self.pool = NodePool(P, node_process, rng)
-        if stationary:
-            self.pool.warm_up()
+        self.pool = pool
         self.lam_s = float(model.errors.silent_rate(P))
         self.C = float(model.costs.checkpoint_cost(P))
         self.R = float(model.costs.recovery_cost(P))
         self.V = float(model.costs.verification_cost(P))
         self.D = float(model.costs.downtime)
-        self.wall = 0.0
-        self.exposed = 0.0
+        self.wall = 0.0  # wall-clock (includes downtime)
+        self.exposed = 0.0  # exposure clock (excludes downtime)
         self.stats = RunStats(
             total_time=0.0,
             n_patterns=0,
@@ -157,8 +146,16 @@ class _NodeRun:
             n_downtimes=0,
         )
 
+    def run(self, n_patterns: int) -> RunStats:
+        """Run ``n_patterns`` patterns; return the run's statistics."""
+        for _ in range(n_patterns):
+            self.run_pattern()
+        self.stats.total_time = self.wall
+        return self.stats
+
     def _run_segment(self, duration: float) -> float | None:
-        next_fail = self.pool.peek()
+        """Consume exposed time; return elapsed-at-failure or None."""
+        next_fail = np.inf if self.pool is None else self.pool.peek()
         if next_fail < self.exposed + duration:
             elapsed = next_fail - self.exposed
             self.exposed = next_fail
@@ -171,6 +168,8 @@ class _NodeRun:
         return None
 
     def _downtime(self) -> None:
+        # Downtime advances the wall clock only: errors cannot strike,
+        # and every failure stream (defined on exposed time) is paused.
         self.wall += self.D
         self.stats.n_downtimes += 1
         self.stats.breakdown.downtime += self.D
@@ -258,8 +257,19 @@ def simulate_run_nodes(
     """
     if n_patterns <= 0:
         raise SimulationError(f"n_patterns must be positive, got {n_patterns!r}")
-    run = _NodeRun(model, T, P, rng, node_process, stationary)
-    for _ in range(n_patterns):
-        run.run_pattern()
-    run.stats.total_time = run.wall
-    return run.stats
+    if T <= 0.0:
+        raise SimulationError(f"pattern period must be positive, got {T!r}")
+    if P < 1:
+        raise SimulationError(f"node count must be >= 1, got {P!r}")
+    if node_process is None:
+        lam_node = model.errors.lambda_ind * model.errors.fail_stop_fraction
+        if lam_node <= 0.0:
+            raise SimulationError(
+                "node-level simulation needs a positive per-node fail-stop "
+                "rate or an explicit node_process"
+            )
+        node_process = ExponentialArrivals(lam_node)
+    pool = NodePool(P, node_process, rng)
+    if stationary:
+        pool.warm_up()
+    return _NodeRun(model, T, P, rng, pool).run(n_patterns)

@@ -3,13 +3,12 @@
 The experiment harness evaluates *sweeps*: dozens of ``(model, T, P)``
 points per figure, hundreds per full evaluation.  Calling
 :func:`repro.sim.montecarlo.simulate_overhead` once per point is
-correct but wasteful — every call re-derives its own chunk plan and
-(with ``workers > 1``) spins up and tears down its own process pool,
-which at FAST fidelity costs an order of magnitude more than the
-sampling itself.  This module amortises that:
+correct but strictly sequential: one point at a time, in one process.
+This module turns a sweep into independent jobs one shared pool can
+run:
 
 * a :class:`SimRequest` names one simulation point with its full budget
-  (model, ``T``, ``P``, runs x patterns, seed, backend, workers);
+  (model, ``T``, ``P``, runs x patterns, seed, backend);
 * :func:`plan_simulations` fuses a list of requests into one
   :class:`SimulationPlan` — deduplicating identical points and grouping
   the rest by resolved backend;
@@ -20,7 +19,7 @@ sampling itself.  This module amortises that:
   :func:`~repro.sim.batch.default_chunk_runs` and the module-level
   chunk workers).  Results are therefore **bit-identical** to per-point
   ``simulate_overhead`` calls with the same arguments, whatever the
-  pool width;
+  pool width or completion order;
 * :func:`claim_serve_expand` serves memo and disk-cache hits, offers
   the remaining keys to the executor's claim, and tags every job with
   its ``(point, part)`` slot for the event-driven
@@ -118,7 +117,6 @@ class SimRequest:
     n_patterns: int = FAST.n_patterns
     seed: int | None = None
     method: str = "auto"
-    workers: int | None = None
 
     @property
     def n_cells(self) -> int:
@@ -161,31 +159,12 @@ def _digest(payload: tuple) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
-def _plan_workers(request: SimRequest, method: str) -> int | None:
-    """The ``workers`` value iff it enters the chunk plan, else ``None``.
-
-    ``des`` ignores workers entirely, and ``batch`` at or below
-    :data:`repro.sim.batch.MAX_CHUNK_ELEMENTS` takes the single-pass
-    branch; in both cases (and for ``workers <= 1``) the sampled
-    numbers are independent of the worker count, so it must not enter
-    the cache key.
-    """
-    if method == "des":
-        return None
-    if method == "batch" and request.n_cells <= _batch.MAX_CHUNK_ELEMENTS:
-        return None
-    if request.workers is None or request.workers <= 1:
-        return None
-    return request.workers
-
-
 def request_key(request: SimRequest) -> str:
     """Content address of a request's result (hex SHA-256).
 
     Two requests share a key iff the sequential path would produce the
     same numbers for both: same model parameters, pattern, budget,
-    seed, resolved backend, chunk-plan-relevant worker count (only
-    where it actually refines the chunk plan), and backend version.
+    seed, resolved backend, and backend version.
     """
     method = request.resolved_method
     return _digest(
@@ -199,7 +178,7 @@ def request_key(request: SimRequest) -> str:
             request.n_patterns,
             DEFAULT_SEED if request.seed is None else request.seed,
             method,
-            _plan_workers(request, method),
+            None,  # the retired workers slot: keeps existing keys valid
         )
     )
 
@@ -353,9 +332,7 @@ def request_jobs(request: SimRequest, method: str | None = None) -> list[tuple]:
         # Single-pass sampler with its historical RNG stream.
         return [(_batch_single_job, (rates, n_runs, n_patterns, request.seed), {})]
     worker = _batch_chunk_worker if method == "batch" else simulate_chunk
-    chunk_plan, seeds = plan_chunk_jobs(
-        n_runs, n_patterns, request.seed, None, request.workers
-    )
+    chunk_plan, seeds = plan_chunk_jobs(n_runs, n_patterns, request.seed, None)
     if len(chunk_plan) == 1:
         return [(worker, (rates, n_runs, n_patterns, seeds[0]), {})]
     return [

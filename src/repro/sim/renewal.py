@@ -21,121 +21,11 @@ import numpy as np
 
 from ..core.pattern import PatternModel
 from ..exceptions import SimulationError
+from .nodes import NodePool, _NodeRun
 from .protocol import RunStats
 from .streams import ArrivalProcess, ExponentialArrivals
 
 __all__ = ["simulate_run_renewal"]
-
-
-class _RenewalRun:
-    """One run with a persistent fail-stop renewal stream."""
-
-    def __init__(
-        self,
-        model: PatternModel,
-        T: float,
-        P: float,
-        rng: np.random.Generator,
-        fail_stop: ArrivalProcess | None,
-    ) -> None:
-        if T <= 0.0 or P <= 0.0:
-            raise SimulationError("T and P must be positive")
-        self.rng = rng
-        self.T = float(T)
-        lam_f = float(model.errors.fail_stop_rate(P))
-        if fail_stop is None:
-            fail_stop = ExponentialArrivals(lam_f) if lam_f > 0.0 else None
-        self.fail_stop = fail_stop
-        self.lam_s = float(model.errors.silent_rate(P))
-        self.C = float(model.costs.checkpoint_cost(P))
-        self.R = float(model.costs.recovery_cost(P))
-        self.V = float(model.costs.verification_cost(P))
-        self.D = float(model.costs.downtime)
-        self.wall = 0.0  # wall-clock (includes downtime)
-        self.exposed = 0.0  # exposure clock (excludes downtime)
-        self.next_fail = (
-            self.exposed + self.fail_stop.sample_interarrival(rng)
-            if self.fail_stop is not None
-            else np.inf
-        )
-        self.stats = RunStats(
-            total_time=0.0,
-            n_patterns=0,
-            n_attempts=0,
-            n_fail_stop=0,
-            n_silent_struck=0,
-            n_silent_detected=0,
-            n_recoveries=0,
-            n_downtimes=0,
-        )
-
-    def _run_segment(self, duration: float) -> float | None:
-        """Consume exposed time; return elapsed-at-failure or None."""
-        if self.next_fail < self.exposed + duration:
-            elapsed = self.next_fail - self.exposed
-            self.exposed = self.next_fail
-            self.wall += elapsed
-            self.stats.n_fail_stop += 1
-            # Renew the stream at the arrival.
-            self.next_fail = self.exposed + self.fail_stop.sample_interarrival(self.rng)
-            return elapsed
-        self.exposed += duration
-        self.wall += duration
-        return None
-
-    def _downtime(self) -> None:
-        # Downtime advances the wall clock only: errors cannot strike,
-        # and the renewal stream (defined on exposed time) is paused.
-        self.wall += self.D
-        self.stats.n_downtimes += 1
-        self.stats.breakdown.downtime += self.D
-
-    def _recover(self) -> None:
-        while True:
-            failed_at = self._run_segment(self.R)
-            if failed_at is None:
-                self.stats.n_recoveries += 1
-                self.stats.breakdown.recovery += self.R
-                return
-            self.stats.breakdown.lost += failed_at
-            self._downtime()
-
-    def _silent_within(self, computed: float) -> bool:
-        if self.lam_s <= 0.0 or computed <= 0.0:
-            return False
-        return self.rng.exponential(1.0 / self.lam_s) < computed
-
-    def run_pattern(self) -> None:
-        while True:
-            self.stats.n_attempts += 1
-            failed_at = self._run_segment(self.T + self.V)
-            if failed_at is not None:
-                if self._silent_within(min(failed_at, self.T)):
-                    self.stats.n_silent_struck += 1
-                self.stats.breakdown.lost += failed_at
-                self._downtime()
-                self._recover()
-                continue
-            if self._silent_within(self.T):
-                self.stats.n_silent_struck += 1
-                self.stats.n_silent_detected += 1
-                self.stats.breakdown.wasted_work += self.T
-                self.stats.breakdown.verification += self.V
-                self._recover()
-                continue
-            failed_at = self._run_segment(self.C)
-            if failed_at is not None:
-                self.stats.breakdown.wasted_work += self.T
-                self.stats.breakdown.verification += self.V
-                self.stats.breakdown.lost += failed_at
-                self._downtime()
-                self._recover()
-                continue
-            self.stats.n_patterns += 1
-            self.stats.breakdown.useful_work += self.T
-            self.stats.breakdown.verification += self.V
-            self.stats.breakdown.checkpoint += self.C
-            return
 
 
 def simulate_run_renewal(
@@ -160,8 +50,12 @@ def simulate_run_renewal(
     """
     if n_patterns <= 0:
         raise SimulationError(f"n_patterns must be positive, got {n_patterns!r}")
-    run = _RenewalRun(model, T, P, rng, fail_stop)
-    for _ in range(n_patterns):
-        run.run_pattern()
-    run.stats.total_time = run.wall
-    return run.stats
+    if T <= 0.0 or P <= 0.0:
+        raise SimulationError("T and P must be positive")
+    if fail_stop is None:
+        lam_f = float(model.errors.fail_stop_rate(P))
+        fail_stop = ExponentialArrivals(lam_f) if lam_f > 0.0 else None
+    # One persistent stream is a one-node pool without warm-up; without
+    # a fail-stop process there is no pool, so nothing fires or draws.
+    pool = NodePool(1, fail_stop, rng) if fail_stop is not None else None
+    return _NodeRun(model, T, P, rng, pool).run(n_patterns)

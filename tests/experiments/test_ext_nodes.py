@@ -42,6 +42,6 @@ class TestExtNodes:
         assert res.column("overhead")[0] is not None  # analytic always there
 
     def test_cli_registration(self):
-        from repro.experiments.runner import _FIGURES
+        from repro.experiments.registry import REGISTRY
 
-        assert "ext-nodes" in _FIGURES
+        assert "ext-nodes" in REGISTRY

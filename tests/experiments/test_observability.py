@@ -19,6 +19,7 @@ import pytest
 from repro.experiments.runner import main
 from repro.obs.stream import LineStream
 from repro.obs.trace import ENVIRONMENT_EVENTS, comparable_events, load_trace
+from repro.sim.faults import CRASH_EXIT_CODE
 
 #: Small but parallel-friendly budget: several chunk jobs per study.
 FAST_ARGS = ["--runs", "3", "--patterns", "4"]
@@ -71,6 +72,39 @@ class TestByteIdentity:
         events = load_trace(path)
         assert events[0]["ev"] == "trace_start"
         assert events[-1]["ev"] == "trace_end"
+
+
+class TestRunStatus:
+    def test_crashed_run_trace_ends_failed(self, tmp_path, capsys):
+        path = tmp_path / "crash.jsonl"
+        code = main(["fig5", *FAST_ARGS, "--cache-dir", str(tmp_path / "cache"),
+                     "--trace-file", str(path), "--fault-plan", "crash-after=5"])
+        assert code == CRASH_EXIT_CODE == 86
+        capsys.readouterr()
+        events = load_trace(path)
+        assert events[-1]["ev"] == "trace_end"
+        assert events[-1]["status"] == "failed"
+
+    def test_summary_flags_failed_run(self, tmp_path, capsys):
+        path = tmp_path / "crash.jsonl"
+        main(["fig5", *FAST_ARGS, "--cache-dir", str(tmp_path / "cache"),
+              "--trace-file", str(path), "--fault-plan", "crash-after=5"])
+        capsys.readouterr()
+        assert main(["trace", "summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "status failed" in out
+        assert "WARNING: the run did not complete" in out
+        assert main(["trace", "summary", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+    def test_clean_run_summary_reports_complete(self, tmp_path, capsys):
+        path = tmp_path / "ok.jsonl"
+        assert main(["fig5", *FAST_ARGS, "--trace-file", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "status complete" in out
+        assert "WARNING" not in out
 
 
 class TestJournalContract:

@@ -208,6 +208,32 @@ class TestCliValidation:
         with pytest.raises(SystemExit, match="--claim-ttl"):
             main(["fig5", *FAST_ARGS, "--claim-ttl", "60"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["all", "--run-id", "r1", "--trace"], "needs a result cache"),
+            (["all", "--resume", "--trace", "--cache-dir", "c"],
+             "--resume requires --run-id"),
+        ],
+    )
+    def test_run_flag_misuse_fails_before_any_work(
+        self, tmp_path, monkeypatch, argv, message
+    ):
+        import repro.experiments.runner as runner_mod
+
+        staged = []
+        real_stage = runner_mod.stage_study
+        monkeypatch.setattr(
+            runner_mod, "stage_study",
+            lambda *a, **k: staged.append(a) or real_stage(*a, **k),
+        )
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
+        assert staged == []
+        # No runs directory, no trace journal, no cache: nothing at all.
+        assert list(tmp_path.iterdir()) == []
+
     def test_dry_run_journals_nothing(self, tmp_path, capsys):
         assert main(_run_args(tmp_path) + ["--dry-run"]) == 0
         assert not (tmp_path / "runs").exists()

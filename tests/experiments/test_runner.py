@@ -58,10 +58,10 @@ class TestExecution:
 
 
 class TestPipelineFlags:
-    def test_jobs_defaults_to_workers(self):
+    def test_jobs_sizes_the_pool(self):
         from repro.experiments.runner import _pipeline_from_args
 
-        args = build_parser().parse_args(["fig2", "--workers", "3"])
+        args = build_parser().parse_args(["fig2", "--jobs", "3"])
         with _pipeline_from_args(args) as pipe:
             assert pipe.executor.workers == 3
 
@@ -73,12 +73,12 @@ class TestPipelineFlags:
             assert pipe.executor.workers == 1
             assert pipe.cache is None
 
-    def test_jobs_overrides_workers(self):
-        from repro.experiments.runner import _pipeline_from_args
-
-        args = build_parser().parse_args(["fig2", "--workers", "3", "--jobs", "2"])
-        with _pipeline_from_args(args) as pipe:
-            assert pipe.executor.workers == 2
+    def test_workers_flag_is_gone(self, capsys):
+        # --jobs is the only parallelism flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fig2", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_no_cache_bypasses_cache_dir(self, tmp_path):
         from repro.experiments.runner import _pipeline_from_args

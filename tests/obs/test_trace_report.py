@@ -111,9 +111,17 @@ class TestSummarize:
         adaptive = summarize(events)["adaptive"]
         assert adaptive["f"] == {"waves": 2, "rows_converged": 4}
 
+    def test_status_from_trace_end(self):
+        assert summarize(_events())["status"] == "complete"
+        failed = _events()[:-1] + [{"ev": "trace_end", "t": 0.8, "status": "failed"}]
+        assert summarize(failed)["status"] == "failed"
+        # A journal without trace_end was never sealed.
+        assert summarize(_events()[:-1])["status"] is None
+
     def test_empty_trace(self):
         summary = summarize([])
         assert summary["events"] == 0
+        assert summary["status"] is None
         assert summary["scheduler"]["occupancy"] is None
         assert summary["cache"]["hit_rate"] is None
 
@@ -131,6 +139,14 @@ class TestRender:
                         "[critical-path]"):
             assert section in text
         assert "occupancy 75% of window 2" in text
+        assert "status complete" in text and "WARNING" not in text
+
+    def test_text_flags_incomplete_journal(self):
+        failed = _events()[:-1] + [{"ev": "trace_end", "t": 0.8, "status": "failed"}]
+        text = "\n".join(render_summary_text(summarize(failed)))
+        assert "WARNING: the run did not complete (trace_end status 'failed')" in text
+        text = "\n".join(render_summary_text(summarize(_events()[:-1])))
+        assert "status unsealed" in text and "no trace_end" in text
 
     def test_timeline_excludes_volatile_fields(self):
         lines = render_timeline(_events())

@@ -59,27 +59,27 @@ class TestRequestKey:
         keys = {base} | {request_key(v) for v in variants}
         assert len(keys) == len(variants) + 1
 
-    def test_workers_in_key_only_where_it_refines_the_chunk_plan(self, hera_sc1):
-        # des and single-pass batch ignore workers: same numbers, same key.
-        small = SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3)
-        assert request_key(small) == request_key(
-            SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3, workers=4)
+    def test_pinned_digests(self):
+        # Users' caches and run manifests are addressed by these hex
+        # digests: a change here silently invalidates every stored
+        # entry, so it must come with a BACKEND_VERSION bump instead.
+        from repro.experiments.ext_weibull import _renewal_overhead
+        from repro.platforms import build_model
+        from repro.sim.plan import call_key
+        from repro.sim.streams import WeibullArrivals
+
+        model = build_model("Hera", 1)
+        assert request_key(SimRequest(model, T=6000.0, P=256.0, seed=7)) == (
+            "398553f9250a28490a73a780c2820be8cd7b3f368e1cf54cca06033ebf10665f"
         )
-        des = SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3, method="des")
-        assert request_key(des) == request_key(
-            SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3, method="des", workers=4)
+        paper = SimRequest(model, 6000.0, 256.0, 500, 500, seed=7, method="vectorized")
+        assert request_key(paper) == (
+            "588720ce6f37dfaccfbabee64d24b2d26cdd1428ae9043611187964c490f2097"
         )
-        # Chunked vectorized: workers refines the plan and the stream.
-        vec = SimRequest(hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized")
-        vec4 = SimRequest(
-            hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized", workers=4
-        )
-        assert request_key(vec) != request_key(vec4)
-        # workers=1 never refines: identical to None everywhere.
-        assert request_key(vec) == request_key(
-            SimRequest(
-                hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized", workers=1
-            )
+        stream = WeibullArrivals.from_mean(0.7, 1e5)
+        args = (model, 6000.0, 256.0, 100, stream, 50, 1042)
+        assert call_key(_renewal_overhead, args, {}) == (
+            "2fd09f10db9112a3d3fd548c6a9c206860f090deb962786f15d00cfd1bbb69ee"
         )
 
     def test_auto_resolves_to_concrete_backend(self, hera_sc1):
@@ -127,11 +127,9 @@ class TestRequestJobs:
     def test_small_batch_is_one_job(self, request_):
         assert len(request_jobs(request_)) == 1
 
-    def test_workers_refine_vectorized_chunks(self, hera_sc1):
-        req = SimRequest(
-            hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized", workers=2
-        )
-        assert len(request_jobs(req)) == 2
+    def test_vectorized_below_the_chunk_cap_is_one_job(self, hera_sc1):
+        req = SimRequest(hera_sc1, 6000.0, 256.0, 500, 500, seed=3, method="vectorized")
+        assert len(request_jobs(req)) == 1
 
     def test_des_slices_cover_all_runs(self, hera_sc1):
         req = SimRequest(hera_sc1, 6000.0, 256.0, 20, 5, seed=3, method="des")
@@ -149,29 +147,31 @@ class TestBitIdentity:
     """The fused path must equal per-point simulate_overhead bit for bit."""
 
     @pytest.mark.parametrize("method", ["batch", "vectorized", "des"])
-    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("jobs", [None, 2])
     def test_matches_sequential(
-        self, hera_sc1, hera_sc3, method, workers, simulate_requests
+        self, hera_sc1, hera_sc3, method, jobs, simulate_requests
     ):
         n_runs, n_patterns = (6, 8) if method == "des" else (10, 20)
         points = [(hera_sc1, 6000.0, 256.0), (hera_sc3, 5000.0, 512.0)]
         sequential = [
-            simulate_overhead(
-                m, T, P, n_runs, n_patterns, seed=5, method=method, workers=workers
-            )
+            simulate_overhead(m, T, P, n_runs, n_patterns, seed=5, method=method)
             for m, T, P in points
         ]
         requests = [
-            SimRequest(m, T, P, n_runs, n_patterns, seed=5, method=method, workers=workers)
+            SimRequest(m, T, P, n_runs, n_patterns, seed=5, method=method)
             for m, T, P in points
         ]
-        fused = simulate_requests(requests)
+        if jobs is None:
+            fused = simulate_requests(requests)
+        else:
+            with PoolExecutor(jobs) as executor:
+                fused = simulate_requests(requests, executor=executor)
         assert fused == sequential
 
     def test_pool_width_never_changes_results(self, hera_sc1, simulate_requests):
         requests = [
-            SimRequest(hera_sc1, 6000.0, 256.0, 10, 20, seed=5, workers=2),
-            SimRequest(hera_sc1, 7000.0, 256.0, 10, 20, seed=5, workers=2),
+            SimRequest(hera_sc1, 6000.0, 256.0, 10, 20, seed=5),
+            SimRequest(hera_sc1, 7000.0, 256.0, 10, 20, seed=5),
         ]
         serial = simulate_requests(requests)
         with PoolExecutor(2) as executor:

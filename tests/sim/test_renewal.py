@@ -7,9 +7,10 @@ import pytest
 
 from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 from repro.exceptions import SimulationError
+from repro.sim.nodes import simulate_run_nodes
 from repro.sim.renewal import simulate_run_renewal
 from repro.sim.rng import make_rng, spawn_rngs
-from repro.sim.streams import WeibullArrivals
+from repro.sim.streams import ExponentialArrivals, WeibullArrivals
 
 
 def _model(lambda_ind=3e-5, f=0.5) -> PatternModel:
@@ -57,6 +58,35 @@ class TestExponentialEquivalence:
         a = simulate_run_renewal(model, 1000.0, 20, 20, make_rng(4))
         b = simulate_run_renewal(model, 1000.0, 20, 20, make_rng(4))
         assert a.total_time == b.total_time
+
+
+class TestOneNodePool:
+    """The renewal simulator is the node-level one on a single fresh node."""
+
+    @pytest.mark.parametrize("shape", [None, 0.7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_fresh_one_node_run(self, shape, seed):
+        model = _model(lambda_ind=4e-4, f=0.5)
+        T = 1200.0
+        lam_f = model.errors.fail_stop_rate(1)
+        w = (
+            ExponentialArrivals(lam_f)
+            if shape is None
+            else WeibullArrivals.from_mean(shape, 1.0 / lam_f)
+        )
+        renewal = simulate_run_renewal(model, T, 1, 30, make_rng(seed), w)
+        nodes = simulate_run_nodes(
+            model, T, 1, 30, make_rng(seed), node_process=w, stationary=False
+        )
+        assert renewal.n_fail_stop > 0
+        assert renewal == nodes
+
+    def test_no_fail_stop_process_draws_nothing(self):
+        model = _model(lambda_ind=0.0)
+        rng = make_rng(7)
+        stats = simulate_run_renewal(model, 1000.0, 20, 30, rng)
+        assert stats.n_fail_stop == 0
+        assert rng.bit_generator.state == make_rng(7).bit_generator.state
 
 
 class TestWeibull:

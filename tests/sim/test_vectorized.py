@@ -7,14 +7,17 @@ import pytest
 
 from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 from repro.exceptions import SimulationError
+from repro.sim.executors import PoolExecutor
 from repro.sim.batch import (
     PatternRates,
     merge_batch_stats,
+    plan_chunk_jobs,
     plan_chunks,
     simulate_batch,
     simulate_batch_chunked,
 )
 from repro.sim.montecarlo import simulate_overhead
+from repro.sim.plan import run_job
 from repro.sim.rng import make_rng
 from repro.sim.vectorized import simulate_chunk, simulate_vectorized
 
@@ -113,13 +116,20 @@ class TestChunkingAndDispatch:
         np.testing.assert_array_equal(a.run_times, b.run_times)
 
     def test_worker_count_never_changes_results(self):
+        # The chunk plan is a pure function of the call, so running its
+        # chunk jobs on a pool and merging in plan order reproduces the
+        # in-process call bit for bit.
         model = _model(2e-5, 0.5)
-        serial = simulate_vectorized(
-            model, 1000.0, 20, 64, 30, seed=3, chunk_runs=16, workers=1
-        )
-        pooled = simulate_vectorized(
-            model, 1000.0, 20, 64, 30, seed=3, chunk_runs=16, workers=2
-        )
+        serial = simulate_vectorized(model, 1000.0, 20, 64, 30, seed=3, chunk_runs=16)
+        rates = PatternRates.from_model(model, 1000.0, 20)
+        plan, seeds = plan_chunk_jobs(64, 30, 3, 16)
+        with PoolExecutor(2) as executor:
+            futures = [
+                executor.submit(run_job, (simulate_chunk, (rates, c, 30, s), {}))
+                for c, s in zip(plan, seeds)
+            ]
+            list(executor.as_completed())
+            pooled = merge_batch_stats([f.result() for f in futures])
         np.testing.assert_array_equal(serial.run_times, pooled.run_times)
         assert serial.n_attempts == pooled.n_attempts
 
@@ -135,19 +145,14 @@ class TestChunkingAndDispatch:
         sem = per_run.std(ddof=1) / np.sqrt(stats.n_runs)
         assert abs(stats.mean_pattern_time - analytic) < 4 * sem
 
-    def test_explicit_workers_refines_default_plan(self):
-        # A small budget fits one memory-bounded chunk, but an explicit
-        # worker request must still split the runs so the pool engages;
-        # the plan (and therefore the result) stays a pure function of
-        # the call arguments.
+    def test_default_plan_is_one_chunk_below_the_cap(self):
+        # A budget under MAX_CHUNK_ELEMENTS is one chunk: the default
+        # plan equals an explicit single chunk of all the runs.
+        assert plan_chunk_jobs(500, 500, 6, None)[0] == [500]
         model = _model(2e-5, 0.5)
-        a = simulate_vectorized(model, 1000.0, 20, 60, 30, seed=6, workers=4)
-        b = simulate_vectorized(model, 1000.0, 20, 60, 30, seed=6, workers=4)
-        np.testing.assert_array_equal(a.run_times, b.run_times)
-        explicit = simulate_vectorized(
-            model, 1000.0, 20, 60, 30, seed=6, chunk_runs=15, workers=1
-        )
-        np.testing.assert_array_equal(a.run_times, explicit.run_times)
+        default = simulate_vectorized(model, 1000.0, 20, 60, 30, seed=6)
+        explicit = simulate_vectorized(model, 1000.0, 20, 60, 30, seed=6, chunk_runs=60)
+        np.testing.assert_array_equal(default.run_times, explicit.run_times)
 
     def test_plan_chunks(self):
         assert plan_chunks(10, 4) == [4, 4, 2]
@@ -171,7 +176,7 @@ class TestChunkingAndDispatch:
         model = _model(2e-5, 0.5)
         T, P = 1500.0, 20
         stats = simulate_batch_chunked(
-            model, T, P, n_runs=200, n_patterns=50, seed=4, chunk_runs=64, workers=1
+            model, T, P, n_runs=200, n_patterns=50, seed=4, chunk_runs=64
         )
         assert stats.n_runs == 200
         analytic = model.expected_time(T, P)
