@@ -4,12 +4,22 @@ Prints the overhead as a function of the segment count k on each SCR
 platform (scenario 3, where the checkpoint is expensive and constant),
 next to the first-order k* — showing when the paper's single
 verification (k = 1) leaves measurable performance on the table.
+
+The 1-CPU-safe gate is a call count: one ``optimize_segments`` call
+zooms every ``k`` at once, so it makes at most ``MAX_OVERHEAD_CALLS``
+broadcast ``segmented_overhead`` calls (one per zoom round) where a
+per-k scalar scan made about 2,000.  The seconds per call are recorded
+ungated in ``BENCH_twolevel.json`` (path overridable via
+``REPRO_BENCH_TWOLEVEL_JSON``).
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.extensions import twolevel
 from repro.extensions.twolevel import (
     optimal_segment_count,
     optimize_segments,
@@ -19,6 +29,43 @@ from repro.extensions.twolevel import (
 from repro.io.tables import render_table
 from repro.optimize import optimize_allocation
 from repro.platforms import PLATFORM_NAMES, build_model
+
+#: Upper bound on ``segmented_overhead`` calls per ``optimize_segments``
+#: call (the zoom converges in about 11 rounds).
+MAX_OVERHEAD_CALLS = 20
+
+RESULTS: dict[str, dict] = {"max_overhead_calls": MAX_OVERHEAD_CALLS}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def write_bench_json(bench_writer):
+    yield
+    bench_writer("REPRO_BENCH_TWOLEVEL_JSON", "BENCH_twolevel.json", RESULTS)
+
+
+@pytest.mark.parametrize("platform", PLATFORM_NAMES)
+def test_optimize_segments_call_count(monkeypatch, platform):
+    model = build_model(platform, 3)
+    P = optimize_allocation(model).processors
+    calls = 0
+    overhead = twolevel.segmented_overhead
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return overhead(*args, **kwargs)
+
+    monkeypatch.setattr(twolevel, "segmented_overhead", counted)
+    start = time.perf_counter()
+    best = twolevel.optimize_segments(model, P)
+    elapsed = time.perf_counter() - start
+    RESULTS[platform] = {
+        "segmented_overhead_calls": calls,
+        "seconds": round(elapsed, 6),
+        "k_best": int(best.segments),
+    }
+    print(f"\n{platform} sc3: {calls} segmented_overhead calls, {elapsed * 1e3:.1f} ms")
+    assert calls <= MAX_OVERHEAD_CALLS
 
 
 @pytest.mark.parametrize("platform", PLATFORM_NAMES)

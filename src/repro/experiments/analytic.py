@@ -26,6 +26,7 @@ inline, without batching or memo.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -132,19 +133,26 @@ class AnalyticMemo:
         #: Cumulative points served without compute / computed.
         self.served = 0
         self.evaluated = 0
+        if self.path is not None:
+            self.served, self.evaluated, self._table = self._read()
+        # Counters as last read from / written to disk: flush adds only
+        # this process's traffic since then to what is on disk.
+        self._synced = (self.served, self.evaluated)
         self._dirty = False
-        if self.path is not None and self.path.exists():
-            try:
-                payload = json.loads(self.path.read_text())
-            except (OSError, ValueError):
-                payload = None
-            if isinstance(payload, dict) and payload.get("version") == ANALYTIC_VERSION:
-                self.served = int(payload.get("served", 0))
-                self.evaluated = int(payload.get("evaluated", 0))
-                for key, values in payload.get("entries", {}).items():
-                    self._table[key] = AnalyticPoint(
-                        *(None if v is None else float(v) for v in values)
-                    )
+
+    def _read(self) -> tuple[int, int, dict[str, AnalyticPoint]]:
+        """``(served, evaluated, entries)`` on disk; empty when unreadable."""
+        try:
+            payload = json.loads(self.path.read_text())
+        except (OSError, ValueError):
+            payload = None
+        if not isinstance(payload, dict) or payload.get("version") != ANALYTIC_VERSION:
+            return 0, 0, {}
+        entries = {
+            key: AnalyticPoint(*(None if v is None else float(v) for v in values))
+            for key, values in payload.get("entries", {}).items()
+        }
+        return int(payload.get("served", 0)), int(payload.get("evaluated", 0)), entries
 
     def __len__(self) -> int:
         return len(self._table)
@@ -173,22 +181,36 @@ class AnalyticMemo:
             self._dirty = True
 
     def flush(self) -> None:
-        """Write the table to ``path`` (atomic rename); no-op when clean."""
+        """Merge the table into ``path``; no-op when clean.
+
+        Runs sharing a cache directory serialise their flushes on an
+        exclusive ``flock`` of a sidecar lock file.  Under it each run
+        reads the current file, takes the union with its own table, adds
+        its counter traffic, and publishes the result through a private
+        temp file and an atomic rename, so no run's entries are lost and
+        a reader never sees a torn file.
+        """
         if self.path is None or not self._dirty:
             return
-        payload = {
-            "version": ANALYTIC_VERSION,
-            "served": self.served,
-            "evaluated": self.evaluated,
-            "entries": {key: point.as_list() for key, point in self._table.items()},
-        }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # A private temp name per process: runs sharing a cache
-        # directory each publish whole tables and never unlink or
-        # rename one another's half-written file.
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(self.path)
+        lock = self.path.with_name(f".{self.path.name}.lock")
+        with open(lock, "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)  # released when closed
+            served, evaluated, entries = self._read()
+            entries.update(self._table)
+            self._table = entries
+            self.served = served + self.served - self._synced[0]
+            self.evaluated = evaluated + self.evaluated - self._synced[1]
+            payload = {
+                "version": ANALYTIC_VERSION,
+                "served": self.served,
+                "evaluated": self.evaluated,
+                "entries": {key: point.as_list() for key, point in entries.items()},
+            }
+            tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+            tmp.write_text(json.dumps(payload))
+            tmp.replace(self.path)
+        self._synced = (self.served, self.evaluated)
         self._dirty = False
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pattern import PatternModel
-from ..optimize.allocation import optimize_allocation
+from ..optimize.allocation import _integer_optimum
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
 from ..platforms.scenarios import build_model
 from ..sim.nodes import simulate_run_nodes
@@ -71,10 +71,15 @@ def _declare(ctx: StudyContext):
     n_patterns = min(n_patterns, 60)
 
     panels = []
-    for scenario_id in ctx.scenarios:
-        model = build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
-        opt = optimize_allocation(model, integer=True)
-        T, P = opt.period, int(opt.processors)
+    models = [
+        build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
+        for scenario_id in ctx.scenarios
+    ]
+    optima = ctx.pipeline.evaluate_analytic(models)
+    for scenario_id, model, optimum in zip(ctx.scenarios, models, optima):
+        # The memo-served continuous optimum, rounded to whole nodes.
+        P, inner, _ = _integer_optimum(model, optimum.P_num)
+        T = inner.period
         lam_node = model.errors.lambda_ind * model.errors.fail_stop_fraction
         weibull = WeibullArrivals.from_mean(shape, 1.0 / lam_node)
 

@@ -16,7 +16,6 @@ from ..extensions.twolevel import (
     segmented_overhead,
     segmented_period,
 )
-from ..optimize.allocation import optimize_allocation
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import build_model
 from .common import FigureResult, SimSettings
@@ -40,9 +39,13 @@ def _declare(ctx: StudyContext) -> list[FigureResult]:
     for scenario_id in ctx.scenarios:
         rows = []
         notes = []
-        for name in platforms:
-            model = build_model(name, scenario_id, alpha=alpha, downtime=downtime)
-            P = optimize_allocation(model).processors
+        models = [
+            build_model(name, scenario_id, alpha=alpha, downtime=downtime)
+            for name in platforms
+        ]
+        optima = ctx.pipeline.evaluate_analytic(models)
+        for name, model, optimum in zip(platforms, models, optima):
+            P = optimum.P_num
             row: list = [name, round(P, 1)]
             for k in segments:
                 T = segmented_period(P, k, model.errors, model.costs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pattern import PatternModel
-from ..optimize.allocation import optimize_allocation
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
 from ..platforms.scenarios import build_model
 from ..sim.renewal import simulate_run_renewal
@@ -68,12 +67,15 @@ def _declare(ctx: StudyContext):
 
     rows = []
     notes = []
-    for scenario_id in ctx.scenarios:
-        model = build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
-        opt = optimize_allocation(model)
-        T, P = opt.period, opt.processors
+    models = [
+        build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
+        for scenario_id in ctx.scenarios
+    ]
+    optima = ctx.pipeline.evaluate_analytic(models)
+    for scenario_id, model, optimum in zip(ctx.scenarios, models, optima):
+        T, P = optimum.T_num, optimum.P_num
         lam_f = float(model.errors.fail_stop_rate(P))
-        row: list = [scenario_id, round(P, 1), round(T, 1), opt.overhead]
+        row: list = [scenario_id, round(P, 1), round(T, 1), optimum.H_pred_num]
         for i, shape in enumerate(shapes):
             if not ctx.settings.simulate:
                 row.append(None)

@@ -906,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=("text", "json"),
                 default="text",
                 help="rendered report (text, default) or the "
-                "repro-trace-summary/1 JSON document",
+                "repro-trace-summary/2 JSON document",
             )
         if trace_cmd == "timeline":
             t.add_argument(

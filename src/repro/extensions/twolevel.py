@@ -48,6 +48,12 @@ silent errors, :math:`T/2` for fail-stop):
 
 the latter clamped to ``k >= 1``; verification-cheap, silent-heavy
 platforms favour ``k > 1``.
+
+Numerical optimum
+-----------------
+:func:`optimize_segments` minimises the exact overhead over ``T`` for
+every integer ``k`` up to ``k_max`` at once — one column per ``k`` of a
+single batched log-zoom — and keeps the best ``k``.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import numpy as np
 from ..core.errors import expected_time_lost
 from ..core.pattern import PatternModel, expected_recovery_time
 from ..exceptions import InvalidParameterError, ValidityError
-from ..optimize.scalar import minimize_scalar
+from ..optimize.grid import refine_log_minimum_batch
 
 __all__ = [
     "expected_segmented_time",
@@ -251,36 +257,44 @@ def optimize_segments(
 ) -> SegmentedSolution:
     """Numerically optimal integer ``k`` (and its exact-optimal ``T``).
 
-    Scans ``k = 1..k_max`` (the overhead in ``k`` is unimodal; the scan
-    is cheap because each inner period optimisation is 1-D) and returns
-    the best exact-model solution.
+    Every ``k = 1..k_max`` is one column of a single
+    :func:`~repro.optimize.grid.refine_log_minimum_batch` log-zoom over
+    ``T``, seeded at :func:`segmented_period` and bounded to three
+    decades either side; each round is one broadcast
+    :func:`segmented_overhead` call.  A ``k`` whose overhead is
+    non-finite everywhere scores ``+inf``.  The best ``k`` is then read
+    off the per-``k`` optima in increasing ``k``: a strict improvement
+    wins, and three consecutive non-improvements end the scan (the
+    overhead in ``k`` is unimodal).
     """
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max!r}")
-    best: SegmentedSolution | None = None
+    ks = np.arange(1.0, k_max + 1.0)
+    seeds = segmented_period(P, ks, model.errors, model.costs)
+    result = refine_log_minimum_batch(
+        lambda Ts, idx: segmented_overhead(Ts, P, ks[idx][None, :], model),
+        seeds * 1e-3,
+        seeds * 1e3,
+        init_x=seeds,
+        require_finite=False,
+    )
+    best = 0
     rising = 0
-    for k in range(1, k_max + 1):
-        seed = float(segmented_period(P, k, model.errors, model.costs))
-
-        def objective(T: float, k=k) -> float:
-            value = segmented_overhead(T, P, k, model)
-            return float(value) if np.isfinite(value) else np.inf
-
-        result = minimize_scalar(objective, bounds=(seed * 1e-3, seed * 1e3))
-        candidate = SegmentedSolution(
-            period=result.x,
-            segments=float(k),
-            overhead=result.fun,
-            expected_time=float(
-                expected_segmented_time(result.x, P, k, model.errors, model.costs)
-            ),
-        )
-        if best is None or candidate.overhead < best.overhead:
-            best = candidate
+    for j in range(1, k_max):
+        if result.fun[j] < result.fun[best]:
+            best = j
             rising = 0
         else:
             rising += 1
             if rising >= 3:  # unimodal: three consecutive regressions = done
                 break
-    assert best is not None
-    return best
+    T = float(result.x[best])
+    k = float(ks[best])
+    return SegmentedSolution(
+        period=T,
+        segments=k,
+        overhead=float(result.fun[best]),
+        expected_time=float(
+            expected_segmented_time(T, P, k, model.errors, model.costs)
+        ),
+    )

@@ -10,6 +10,8 @@ the questions a 40-minute sweep raises afterwards:
   flagged in the text rendering;
 * **phases** — wall time per span name (declare / execute), so "where
   did the time go" has a number per layer;
+* **declare by study** — the ``declare`` phase split by each span's
+  ``study`` field (the rows sum to the phase total);
 * **scheduler** — integrated in-flight time over the scheduling
   window: mean in-flight depth, occupancy against the configured
   window, high-water mark, retry and inline-fallback counts;
@@ -35,7 +37,7 @@ from .trace import VOLATILE_FIELDS
 __all__ = ["summarize", "render_summary_text", "render_timeline", "SUMMARY_SCHEMA"]
 
 #: Schema tag of :func:`summarize` payloads.
-SUMMARY_SCHEMA = "repro-trace-summary/1"
+SUMMARY_SCHEMA = "repro-trace-summary/2"
 
 
 def _job_intervals(events):
@@ -80,14 +82,21 @@ def summarize(events: list[dict]) -> dict:
     # Per-phase wall time from span pairs (matched on sid).
     begins: dict[int, dict] = {}
     phases: dict[str, dict] = {}
+    declare_by_study: dict[str, dict] = {}
     for event in events:
         if event["ev"] == "span_begin":
             begins[event["sid"]] = event
         elif event["ev"] == "span_end":
             begins.pop(event["sid"], None)
-            entry = phases.setdefault(event["name"], {"count": 0, "seconds": 0.0})
-            entry["count"] += 1
-            entry["seconds"] = round(entry["seconds"] + event["dur"], 6)
+            buckets = [phases.setdefault(event["name"], {"count": 0, "seconds": 0.0})]
+            if event["name"] == "declare":
+                study = event.get("study") or "(ungrouped)"
+                buckets.append(
+                    declare_by_study.setdefault(study, {"count": 0, "seconds": 0.0})
+                )
+            for entry in buckets:
+                entry["count"] += 1
+                entry["seconds"] = round(entry["seconds"] + event["dur"], 6)
 
     # Per-study declaration tallies and unique-key fates (last wins).
     studies: dict[str, dict] = {}
@@ -200,6 +209,7 @@ def summarize(events: list[dict]) -> dict:
         "wall_seconds": round(wall, 6),
         "status": status,
         "phases": phases,
+        "declare_by_study": declare_by_study,
         "studies": studies,
         "fates": fates,
         "scheduler": scheduler,
@@ -245,6 +255,16 @@ def render_summary_text(summary: dict) -> list[str]:
             [
                 (name, entry["count"], f"{entry['seconds']:.3f}")
                 for name, entry in summary["phases"].items()
+            ],
+        )
+    if summary["declare_by_study"]:
+        lines.append("[declare]")
+        _table(
+            lines,
+            ("study", "spans", "seconds"),
+            [
+                (study, entry["count"], f"{entry['seconds']:.3f}")
+                for study, entry in summary["declare_by_study"].items()
             ],
         )
     sched = summary["scheduler"]

@@ -31,7 +31,12 @@ import numpy as np
 from ..core.pattern import PatternModel, stack_models
 from ..exceptions import InvalidParameterError, OptimizationError
 from .grid import refine_log_minimum_batch
-from .period import optimize_period, optimize_period_batch, optimize_period_batch_grouped
+from .period import (
+    PeriodResult,
+    optimize_period,
+    optimize_period_batch,
+    optimize_period_batch_grouped,
+)
 
 __all__ = ["AllocationResult", "optimize_allocation", "optimize_allocation_batch"]
 
@@ -72,6 +77,18 @@ class AllocationResult:
     @property
     def speedup(self) -> float:
         return 1.0 / self.overhead
+
+
+def _integer_optimum(model: PatternModel, P: float) -> tuple[int, PeriodResult, int]:
+    """Round a continuous optimum ``P`` to the better of its floor/ceil.
+
+    Returns the integer allocation, its optimal period and the overhead
+    evaluations both candidate period solves used.
+    """
+    candidates = sorted({max(1, int(np.floor(P))), max(1, int(np.ceil(P)))})
+    results = [(optimize_period(model, float(c)), c) for c in candidates]
+    inner, P_int = min(results, key=lambda pair: pair[0].overhead)
+    return P_int, inner, sum(r.nfev for r, _ in results)
 
 
 def optimize_allocation(
@@ -137,16 +154,13 @@ def optimize_allocation(
     at_upper = p_max / best_P < 1.0 + 1e-6
 
     if integer:
-        candidates = sorted({max(1, int(np.floor(best_P))), max(1, int(np.ceil(best_P)))})
-        results = [(optimize_period(model, float(P)), P) for P in candidates]
-        nfev += sum(r.nfev for r, _ in results)
-        inner, P_int = min(results, key=lambda pair: pair[0].overhead)
+        P_int, inner, inner_nfev = _integer_optimum(model, best_P)
         return AllocationResult(
             processors=float(P_int),
             period=inner.period,
             overhead=inner.overhead,
             expected_time=inner.expected_time,
-            nfev=nfev,
+            nfev=nfev + inner_nfev,
             at_lower=at_lower,
             at_upper=at_upper,
         )
@@ -251,21 +265,14 @@ def optimize_allocation_batch(
         nfev = int(result.nfev[j]) * 17 * 14
         best_P = float(result.x[j])
         if integer:
-            candidates = sorted(
-                {max(1, int(np.floor(best_P))), max(1, int(np.ceil(best_P)))}
-            )
-            inner_results = [
-                (optimize_period(model, float(P)), P) for P in candidates
-            ]
-            nfev += sum(r.nfev for r, _ in inner_results)
-            inner, P_int = min(inner_results, key=lambda pair: pair[0].overhead)
+            P_int, inner, inner_nfev = _integer_optimum(model, best_P)
             out.append(
                 AllocationResult(
                     processors=float(P_int),
                     period=inner.period,
                     overhead=inner.overhead,
                     expected_time=inner.expected_time,
-                    nfev=nfev,
+                    nfev=nfev + inner_nfev,
                     at_lower=bool(at_lower[j]),
                     at_upper=bool(at_upper[j]),
                 )

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,34 @@ for i in range(int(sys.argv[3])):
     memo.put(f"{sys.argv[2]}-{i}", AnalyticPoint(None, None, None, 1.0, 2.0, float(i)))
     memo.flush()
 """
+
+#: One merging process: its own 50 entries, flushed once every process
+#: has loaded the (still empty) memo and the parent creates the go file.
+MERGER = """
+import sys, time
+from pathlib import Path
+from repro.experiments.analytic import AnalyticMemo, AnalyticPoint
+path, worker, go = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3])
+memo = AnalyticMemo(path)
+for i in range(50):
+    memo.put(f"{worker}-{i}", AnalyticPoint(None, None, None, float(worker), float(i), 1.0))
+memo.count(served=3, evaluated=50)
+Path(f"{go}.{worker}").touch()
+deadline = time.monotonic() + 60
+while not go.exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+memo.flush()
+"""
+
+
+def _src_env() -> dict:
+    """Environment whose PYTHONPATH imports this checkout's ``repro``."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
 
 
 def scalar_hook(spec):
@@ -139,25 +168,57 @@ class TestAnalyticMemo:
 
     def test_concurrent_flushes_on_a_shared_dir_never_raise(self, tmp_path):
         """Several processes flushing one memo file all exit cleanly."""
-        import repro
-
         path = tmp_path / "analytic_memo.json"
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         flushers = [
             subprocess.Popen(
                 [sys.executable, "-c", FLUSHER, str(path), str(worker), "200"],
-                env=env, stderr=subprocess.PIPE, text=True,
+                env=_src_env(), stderr=subprocess.PIPE, text=True,
             )
             for worker in range(4)
         ]
         errors = [proc.communicate(timeout=120)[1] for proc in flushers]
         assert [proc.returncode for proc in flushers] == [0] * 4, errors
         final = AnalyticMemo(path)
-        assert len(final) >= 200  # one whole table won the last rename
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert len(final) == 4 * 200  # every flush merged, none lost
+        # No temp file left behind: only the memo and its lock file.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [path.name, f".{path.name}.lock"]
+        )
+
+    def test_concurrent_flushes_merge_disjoint_tables(self, tmp_path):
+        """4 processes flushing disjoint entries at once: the union survives."""
+        path = tmp_path / "memo" / "analytic_memo.json"
+        go = tmp_path / "go"
+        mergers = [
+            subprocess.Popen(
+                [sys.executable, "-c", MERGER, str(path), str(worker), str(go)],
+                env=_src_env(), stderr=subprocess.PIPE, text=True,
+            )
+            for worker in range(4)
+        ]
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and not all(
+            Path(f"{go}.{w}").exists() for w in range(4)
+        ):
+            time.sleep(0.01)
+        go.touch()
+        errors = [proc.communicate(timeout=60)[1] for proc in mergers]
+        assert [proc.returncode for proc in mergers] == [0] * 4, errors
+        final = AnalyticMemo(path)
+        assert len(final) == 4 * 50
+        assert all(
+            final.get(f"{w}-{i}") is not None for w in range(4) for i in range(50)
+        )
+        assert final.get("2-7") == AnalyticPoint(None, None, None, 2.0, 7.0, 1.0)
+        assert (final.served, final.evaluated) == (4 * 3, 4 * 50)
+
+    def test_cache_verify_clean_with_memo_lock_present(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["fig5", "--runs", "2", "--patterns", "3",
+                     "--cache-dir", str(cache)]) == 0
+        assert (cache / ".analytic_memo.json.lock").exists()
+        capsys.readouterr()
+        assert main(["cache", "verify", "--cache-dir", str(cache)]) == 0
 
 
 class TestEvaluateAnalytic:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import ext_segments, ext_weibull
+from repro.experiments import ext_nodes, ext_segments, ext_weibull
 from repro.experiments.common import SimSettings
+from repro.optimize import optimize_allocation
+from repro.platforms import build_model
 from repro.sim.montecarlo import Fidelity
 
 SETTINGS = SimSettings(fidelity=Fidelity(n_runs=15, n_patterns=30), seed=11)
@@ -69,3 +71,30 @@ class TestWeibullExperiment:
 
         assert "ext-segments" in REGISTRY
         assert "ext-weibull" in REGISTRY
+
+
+class TestMemoServedAllocations:
+    """The ext studies read their allocation optimum from the analytic
+    engine; every no-sim row must equal the scalar optimiser's."""
+
+    def test_weibull_rows_equal_scalar_path(self):
+        res = ext_weibull.run(scenarios=(1, 3), settings=NO_SIM)[0]
+        for row in res.rows:
+            opt = optimize_allocation(build_model("Hera", row[0]))
+            assert row[1:4] == (
+                round(opt.processors, 1), round(opt.period, 1), opt.overhead,
+            )
+
+    def test_nodes_row_equals_scalar_integer_path(self):
+        res = ext_nodes.run(scenarios=(1,), settings=NO_SIM)[0]
+        model = build_model("Hera", 1)
+        opt = optimize_allocation(model, integer=True)
+        T, P = opt.period, int(opt.processors)
+        assert f"(T={T:.0f}s, P={P})" in res.title
+        assert res.rows[0][1] == float(model.overhead(T, P))
+
+    def test_segments_allocation_equals_scalar_path(self):
+        res = ext_segments.run(settings=NO_SIM)[0]
+        for name, P_opt in zip(res.column("platform"), res.column("P_opt")):
+            opt = optimize_allocation(build_model(name, 3))
+            assert P_opt == round(opt.processors, 1)

@@ -107,6 +107,28 @@ class TestRunStatus:
         assert "WARNING" not in out
 
 
+class TestDeclareByStudy:
+    def test_all_no_sim_has_one_row_per_registry_study(self, tmp_path, capsys):
+        from repro.experiments.registry import REGISTRY
+
+        path = tmp_path / "all.jsonl"
+        assert main(["all", "--no-sim", "--trace-file", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summary", str(path), "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        rows = summary["declare_by_study"]
+        assert sorted(rows) == sorted(REGISTRY)
+        assert all(entry["count"] == 1 for entry in rows.values())
+        total = summary["phases"]["declare"]
+        assert sum(entry["count"] for entry in rows.values()) == total["count"]
+        assert sum(entry["seconds"] for entry in rows.values()) == pytest.approx(
+            total["seconds"], abs=1e-5
+        )
+        assert main(["trace", "summary", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "[declare]" in text
+
+
 class TestJournalContract:
     def test_schema_valid_and_counts_match_manifest(self, tmp_path, capsys):
         _, events, manifest = _traced_run(tmp_path, capsys)

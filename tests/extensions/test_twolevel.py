@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.exceptions import InvalidParameterError, ValidityError
 from repro.extensions.twolevel import (
+    SegmentedSolution,
     expected_segmented_time,
     optimal_segment_count,
     optimal_segmented_pattern,
@@ -21,6 +22,10 @@ from repro.extensions.twolevel import (
     segmented_overhead,
     segmented_period,
 )
+from repro.optimize import optimize_allocation
+from repro.optimize.grid import refine_log_minimum
+from repro.optimize.scalar import minimize_scalar
+from repro.platforms import PLATFORM_NAMES, build_model
 
 
 def _model(lambda_ind=2e-5, f=0.3, C=80.0, V=8.0, D=40.0, alpha=0.1) -> PatternModel:
@@ -176,7 +181,6 @@ class TestOptimizeSegments:
     def test_improvement_on_silent_heavy_platform(self):
         # Atlas: 94% silent + sizeable checkpoint -> interleaving pays.
         from repro.optimize import optimize_period
-        from repro.platforms import build_model
 
         model = build_model("Atlas", 3)
         P = 256.0
@@ -192,3 +196,93 @@ class TestOptimizeSegments:
     def test_rejects_bad_kmax(self, hera_sc3):
         with pytest.raises(InvalidParameterError):
             optimize_segments(hera_sc3, 256.0, k_max=0)
+
+
+def _brent_scan(model: PatternModel, P: float, k_max: int = 64) -> SegmentedSolution:
+    """Oracle: the per-k scalar Brent scan ``optimize_segments`` replaced.
+
+    One bounded Brent minimisation of the exact overhead per ``k``
+    (seeded window of three decades either side of the first-order
+    period), scanned in increasing ``k`` until three consecutive
+    non-improvements.
+    """
+    best: SegmentedSolution | None = None
+    rising = 0
+    for k in range(1, k_max + 1):
+        seed = float(segmented_period(P, k, model.errors, model.costs))
+
+        def objective(T: float, k=k) -> float:
+            value = segmented_overhead(T, P, k, model)
+            return float(value) if np.isfinite(value) else np.inf
+
+        result = minimize_scalar(objective, bounds=(seed * 1e-3, seed * 1e3))
+        candidate = SegmentedSolution(
+            period=result.x,
+            segments=float(k),
+            overhead=result.fun,
+            expected_time=float(
+                expected_segmented_time(result.x, P, k, model.errors, model.costs)
+            ),
+        )
+        if best is None or candidate.overhead < best.overhead:
+            best = candidate
+            rising = 0
+        else:
+            rising += 1
+            if rising >= 3:
+                break
+    assert best is not None
+    return best
+
+
+def _single_column(model: PatternModel, P: float, k: int):
+    """One ``k`` zoomed alone by the scalar log-grid front-end."""
+    seed = float(segmented_period(P, k, model.errors, model.costs))
+    return refine_log_minimum(
+        lambda Ts: segmented_overhead(Ts, P, k, model), seed * 1e-3, seed * 1e3
+    )
+
+
+class TestBatchedScanParity:
+    """The one-zoom batch search against the per-k Brent scan oracle."""
+
+    @pytest.mark.parametrize("scenario", range(1, 7))
+    @pytest.mark.parametrize("platform", PLATFORM_NAMES)
+    def test_matches_brent_scan(self, platform, scenario):
+        model = build_model(platform, scenario)
+        P_opt = optimize_allocation(model).processors
+        for P in (P_opt, 64.0, 256.0, 4096.0):
+            oracle = _brent_scan(model, P)
+            batch = optimize_segments(model, P)
+            assert batch.segments == oracle.segments, (platform, scenario, P)
+            assert batch.overhead == pytest.approx(oracle.overhead, rel=1e-12)
+            assert batch.period == pytest.approx(oracle.period, rel=1e-6)
+            assert batch.expected_time == pytest.approx(
+                oracle.expected_time, rel=1e-6
+            )
+
+    def test_kmax_one_is_the_k1_optimum(self, hera_sc3):
+        P = 256.0
+        only = optimize_segments(hera_sc3, P, k_max=1)
+        oracle = _brent_scan(hera_sc3, P, k_max=1)
+        assert only.segments == 1.0
+        assert only.overhead == pytest.approx(oracle.overhead, rel=1e-12)
+        assert only.period == pytest.approx(oracle.period, rel=1e-6)
+        column = _single_column(hera_sc3, P, 1)
+        assert (only.period, only.overhead) == (column.x, column.fun)
+
+    def test_column_bit_identical_to_single_zoom(self):
+        # Atlas sc3 picks k > 1: the winning column of the 64-wide batch
+        # must carry exactly the values a lone zoom on that k finds.
+        model = build_model("Atlas", 3)
+        P = 256.0
+        best = optimize_segments(model, P)
+        assert best.segments > 1
+        column = _single_column(model, P, int(best.segments))
+        assert best.period == column.x
+        assert best.overhead == column.fun
+        assert best.expected_time == float(
+            expected_segmented_time(
+                column.x, P, best.segments, model.errors, model.costs
+            )
+        )

@@ -53,6 +53,24 @@ class TestSummarize:
         assert phases["declare"] == {"count": 1, "seconds": 0.1}
         assert "execute" not in phases  # unterminated span: no end event
 
+    def test_declare_split_by_study(self):
+        events = _events()[:3] + [
+            {"ev": "span_begin", "t": 0.1, "name": "declare", "sid": 9,
+             "study": "fig2"},
+            {"ev": "span_end", "t": 0.3, "name": "declare", "sid": 9,
+             "study": "fig2", "dur": 0.2},
+        ] + _events()[3:]
+        summary = summarize(events)
+        assert summary["declare_by_study"] == {
+            "fig5": {"count": 1, "seconds": 0.1},
+            "fig2": {"count": 1, "seconds": 0.2},
+        }
+        assert summary["phases"]["declare"] == {"count": 2, "seconds": 0.3}
+        lines = render_summary_text(summary)
+        start = lines.index("[declare]")
+        assert lines[start + 3].split() == ["fig5", "1", "0.100"]
+        assert lines[start + 4].split() == ["fig2", "1", "0.200"]
+
     def test_studies_tally_per_declaration(self):
         studies = summarize(_events())["studies"]
         assert studies["fig5"] == {
