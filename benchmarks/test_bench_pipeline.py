@@ -10,9 +10,13 @@ hold on any host (one CPU included):
 * a warm-cache re-run of the same sweep schedules no job: every unique
   point is a disk hit and nothing misses;
 * in both cases the produced values are **bit-identical** to the
-  per-point sequential path for the same seed.
+  per-point sequential path for the same seed;
+* every result-cache entry a ``fig2`` run writes is one small JSON
+  record (at most :data:`MAX_RECORD_BYTES`), and the warm re-run reads
+  them back without ever calling ``numpy.load``.
 
-Wall-clock seconds of the three paths are recorded, not gated, in
+Wall-clock seconds of the three paths, and the per-entry read and
+write microseconds of the cache, are recorded, not gated, in
 ``BENCH_pipeline.json`` (path overridable via
 ``REPRO_BENCH_PIPELINE_JSON``) so CI can archive the perf trajectory.
 """
@@ -20,6 +24,7 @@ Wall-clock seconds of the three paths are recorded, not gated, in
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import time
 from contextlib import redirect_stdout
 from io import StringIO
@@ -33,11 +38,16 @@ from repro.optimize.allocation import optimize_allocation
 from repro.platforms.catalog import DEFAULT_ALPHA
 from repro.platforms.scenarios import build_model
 from repro.sim.montecarlo import FAST
+from repro.sim.plan import ResultCache
+from repro.sim.results import OverheadEstimate
 
 SEED = 20160913
 
 #: Worker processes of the fused pipeline's one pool.
 JOBS = 2
+
+#: Size bound of one cache entry (a record is about 200 bytes).
+MAX_RECORD_BYTES = 512
 
 #: Collected measurements, dumped to JSON at module teardown.
 RESULTS: dict[str, float | int | str] = {
@@ -203,3 +213,45 @@ def test_figure_tables_bit_identical_through_pipeline(settings):
             row = overhead_panel.rows[row_index]
             assert row[1 + 2 * col_offset] == expected_fo
             assert row[2 + 2 * col_offset] == expected_num
+
+
+def test_cache_entries_are_small_records(tmp_path, monkeypatch):
+    """Acceptance: small JSON records, and a warm re-run never ``np.load``s."""
+    import numpy as np
+
+    cache_dir = tmp_path / "cache"
+    args = ["fig2", "--cache-dir", str(cache_dir)]
+    with redirect_stdout(StringIO()):
+        assert main(args) == 0
+    entries = ResultCache(cache_dir).entries()
+    assert entries
+    for entry in entries:
+        assert entry.size <= MAX_RECORD_BYTES, (entry.key, entry.size)
+        record = json.loads(entry.path.read_bytes())
+        assert record["kind"] in ("estimate", "value")
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("numpy.load called on a warm cache re-run")
+
+    monkeypatch.setattr(np, "load", no_load)
+    with redirect_stdout(StringIO()) as out:
+        assert main(args) == 0
+    assert f"[cache] {len(entries)} hits, 0 misses" in out.getvalue()
+
+    # Per-entry cost of the record store itself (recorded, not gated).
+    n = 200
+    cache = ResultCache(tmp_path / "micro")
+    estimate = OverheadEstimate(0.1, 0.02, 0.001, 0.098, 0.102, n_runs=50)
+    start = time.perf_counter()
+    for i in range(n):
+        cache.put_estimate(f"{i:064x}", estimate)
+    write_us = (time.perf_counter() - start) / n * 1e6
+    start = time.perf_counter()
+    for i in range(n):
+        assert cache.get_estimate(f"{i:064x}") == estimate
+    read_us = (time.perf_counter() - start) / n * 1e6
+    RESULTS["cache_entry_bytes_max"] = max(e.size for e in entries)
+    RESULTS["cache_write_us_per_entry"] = round(write_us, 1)
+    RESULTS["cache_read_us_per_entry"] = round(read_us, 1)
+    print(f"\n  cache record: <= {RESULTS['cache_entry_bytes_max']} B, "
+          f"write {write_us:.0f} us, read {read_us:.0f} us per entry")

@@ -105,7 +105,7 @@ def test_replicate_dedup_savings(wallclock_assertions, tmp_path):
     with SimulationPipeline(jobs=1, cache_dir=warm_cache) as pipe:
         stage_study(BASE_SPEC, settings=SETTINGS, pipeline=pipe)
         pipe.resolve()
-    base_points = len(list(warm_cache.glob("*.npz")))
+    base_points = len(list(warm_cache.glob("*.rec")))
 
     # Each timed run gets its own copy of the base-only cache — the run
     # itself writes the resampled replicates back, and a second pass

@@ -205,7 +205,7 @@ class SimulationPipeline:
         self.retry = retry
         self.fault = fault
         #: Cross-replicate memo of analytic optima.  Always deduplicates
-        #: in memory; persists alongside the npz cache only when disk
+        #: in memory; persists alongside the cache records only when disk
         #: caching is on, so ``--no-cache`` runs leave no state behind.
         self.analytic_memo = AnalyticMemo(
             Path(cache_dir) / "analytic_memo.json" if cache_dir is not None else None

@@ -156,7 +156,7 @@ def _shard_args(args: argparse.Namespace) -> tuple[int, int] | None:
     if count < 1 or not 0 <= index < count:
         raise SystemExit(f"shard {index}/{count} is out of range")
     if getattr(args, "shard_dir", None) is None:
-        raise SystemExit("--shard-count requires --shard-dir (the shard's npz output)")
+        raise SystemExit("--shard-count requires --shard-dir (the shard's record output)")
     if mode == "stealing" and claim_dir is None:
         raise SystemExit(
             "--shard-mode stealing requires --claim-dir (the shared claim board)"
@@ -217,7 +217,7 @@ def _pipeline_from_args(
     """
     shard = _shard_args(args)
     if shard is not None and (args.cache_dir is not None or args.no_cache):
-        # A shard writes its npz output through the cache layer, so
+        # A shard writes its record output through the cache layer, so
         # the cache flags would be silently overridden — refuse.
         raise SystemExit(
             "--cache-dir/--no-cache cannot be combined with shard flags; "
@@ -326,7 +326,7 @@ def _resolve_and_emit(
     tables print the moment its last point lands (head-of-line order
     keeps the output bytes identical to the buffered path).  In shard
     mode (``emitter`` is None, ``collect`` is None) the studies are
-    resolved for their side effect only: shard npz output.
+    resolved for their side effect only: shard record output.
     """
     if emitter is not None:
         for stage in staged:
@@ -652,7 +652,7 @@ def _add_common_options(
         "--shard-dir",
         default=None,
         metavar="DIR",
-        help="npz output directory of this shard (fused later by `merge`)",
+        help="record output directory of this shard (fused later by `merge`)",
     )
     sub.add_argument(
         "--shard-mode",
@@ -777,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(sub_sweep, platform_default=None)
 
     sub_merge = subparsers.add_parser(
-        "merge", help="fuse shard npz output directories into a result cache"
+        "merge", help="fuse shard record output directories into a result cache"
     )
     sub_merge.add_argument("shards", nargs="+", metavar="SHARD_DIR")
     sub_merge.add_argument(
@@ -829,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     for cache_cmd, cache_help in (
         ("stats", "aggregate entry count and size"),
         ("ls", "list entries with size and age"),
-        ("verify", "integrity-check every entry (catches truncated npz files)"),
+        ("verify", "integrity-check every entry (catches truncated or foreign records)"),
         ("prune", "age/size-based garbage collection"),
     ):
         c = cache_sub.add_parser(cache_cmd, help=cache_help)
@@ -1370,6 +1370,9 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
         emitter.emit_results(results)
         return 0
 
+    # A usage error is reported before the scenario file is loaded.
+    if args.scenario_command == "run" and not args.dry_run and args.out is None:
+        raise SystemExit("scenario run requires --out DIR (or use --dry-run)")
     try:
         sset = load_scenario_toml(args.file, seed=args.seed)
         members = sset.derive()
@@ -1390,8 +1393,6 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
         return 0
 
     # run | report: one shared pipeline, one event-driven round.
-    if args.scenario_command == "run" and not args.dry_run and args.out is None:
-        raise SystemExit("scenario run requires --out DIR (or use --dry-run)")
     policy = _adaptive_policy_from_args(args, sset)
     settings = _settings_from_args(args)
     started = time.perf_counter()

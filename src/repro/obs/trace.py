@@ -104,6 +104,7 @@ EVENT_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
     "cache_hit": (frozenset({"key"}), frozenset()),
     "cache_miss": (frozenset({"key"}), frozenset()),
     "cache_store": (frozenset({"key", "kind"}), frozenset()),
+    "cache_store_error": (frozenset({"key", "error"}), frozenset()),
     "memo_serve": (frozenset({"study", "count"}), frozenset()),
     "analytic_batch": (frozenset({"study", "evaluated", "served"}), frozenset()),
     # adaptive replicate engine

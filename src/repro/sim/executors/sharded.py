@@ -3,7 +3,7 @@
 A sharded run computes only a slice of the planned points and leaves
 the rest unresolved.  Pointing the pipeline's result cache at a
 per-shard directory turns each shard run into a content-addressed
-``.npz`` drop; :func:`merge_shard_dirs` (the ``repro-experiments
+drop of ``.rec`` records; :func:`merge_shard_dirs` (the ``repro-experiments
 merge`` command) fuses the shard directories into one cache, after
 which an unsharded run over the same spec is served entirely from cache
 — bit-identical to computing everything on one machine, because every
@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ...exceptions import SimulationError
+from ..plan import RECORD_SUFFIX
 from .base import Executor, JobFuture, shard_of
 from .serial import SerialExecutor
 
@@ -251,7 +252,7 @@ class ShardedExecutor(Executor):
 def merge_shard_dirs(
     shard_dirs: Sequence[str | Path], target: str | Path
 ) -> tuple[int, int]:
-    """Fuse shard ``.npz`` drops into the cache directory ``target``.
+    """Fuse shard ``.rec`` record drops into the cache directory ``target``.
 
     Entries are content-addressed (the file name is the plan key), so
     merging is a copy; a key present in several inputs must be
@@ -266,7 +267,7 @@ def merge_shard_dirs(
         shard_dir = Path(shard_dir)
         if not shard_dir.is_dir():
             raise SimulationError(f"shard directory {shard_dir} does not exist")
-        for path in sorted(shard_dir.glob("*.npz")):
+        for path in sorted(shard_dir.glob(f"*{RECORD_SUFFIX}")):
             if path.name.startswith("."):
                 continue  # torn atomic-write temp: never a real entry
             dest = target / path.name

@@ -1,11 +1,11 @@
 """Durable runs: an atomically-journaled manifest per CLI invocation.
 
-A killed ``all``/``scenario run`` used to restart from whatever the
-npz cache happened to hold — the cache deduplicates work, but nothing
-represented *the run itself* as a durable object: which points it
-planned, which completed, under which code/config world.  This module
-adds that object, dogfooding the paper's own checkpoint-recovery
-story:
+A killed ``all``/``scenario run`` used to restart from whatever
+records the result cache happened to hold — the cache deduplicates
+work, but nothing represented *the run itself* as a durable object:
+which points it planned, which completed, under which code/config
+world.  This module adds that object, dogfooding the paper's own
+checkpoint-recovery story:
 
 * a :class:`RunManifest` records the run id, the full CLI ``argv``, a
   config hash over the result-relevant arguments,

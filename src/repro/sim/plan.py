@@ -27,11 +27,11 @@ run:
   folds a point's parts back into one
   :class:`~repro.sim.results.OverheadEstimate`, in part order;
 * :class:`ResultCache` is a content-addressed on-disk cache (one
-  ``.npz`` per point under a cache directory, keyed by a stable SHA-256
-  over the model parameters, pattern, budget, seed, backend and a
-  :data:`BACKEND_VERSION` tag) so repeated evaluations — ``all`` after
-  ``fig5``, ``report`` after ``all``, CI re-runs — skip every
-  already-computed point.
+  one-line JSON record, ``<key>.rec``, per point under a cache
+  directory, keyed by a stable SHA-256 over the model parameters,
+  pattern, budget, seed, backend and a :data:`BACKEND_VERSION` tag) so
+  repeated evaluations — ``all`` after ``fig5``, ``report`` after
+  ``all``, CI re-runs — skip every already-computed point.
 
 Planning, keys, job expansion and the cache live here; dispatch does
 not.  The one execution path is
@@ -43,8 +43,10 @@ drives these pieces through the scheduler and an executor from
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -356,13 +358,27 @@ def merge_request_results(
 # -- on-disk result cache ----------------------------------------------------
 
 
-class ResultCache:
-    """Content-addressed ``.npz`` store for simulation results.
+#: Suffix of a cache record.  Not ``.json``: the analytic memo
+#: (``analytic_memo.json``) shares the directory and is no entry.
+RECORD_SUFFIX = ".rec"
 
-    One file per result under ``directory``, named by the request's
-    SHA-256 key, written atomically (temp file + rename) so concurrent
-    runs sharing a cache directory never observe torn files.  Unreadable
-    or mismatched entries read as misses and are recomputed.
+#: Record kind -> its fields besides ``kind``, with their JSON types.
+_RECORD_FIELDS: dict[str, dict[str, type]] = {
+    "estimate": {"mean": float, "std": float, "stderr": float,
+                 "ci_low": float, "ci_high": float, "n_runs": int},
+    "value": {"value": float},
+}
+
+
+class ResultCache:
+    """Content-addressed store of one-line JSON records.
+
+    One ``<key>.rec`` per result under ``directory``, named by the
+    request's SHA-256 key and holding ``{"kind": ..., <fields>}`` (see
+    :data:`_RECORD_FIELDS`; floats round-trip exactly, a NaN without its
+    sign or payload).  Writes are atomic (temp file + fsync + rename), so
+    runs sharing a directory never observe torn files; unreadable or
+    mismatched entries read as misses and are recomputed.
     """
 
     def __init__(self, directory: str | Path):
@@ -394,19 +410,43 @@ class ResultCache:
             self.trace.event(f"cache_{event}", key=key, **fields)
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.npz"
+        return self.directory / f"{key}{RECORD_SUFFIX}"
 
-    def _load(self, key: str, kind: str) -> dict | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
+    def _read(self, key: str) -> tuple[dict | None, str]:
+        """``(record, "ok")``, or ``(None, <why it is not a valid entry>)``."""
         try:
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["kind"][()]) != kind:
-                    return None
-                return {name: data[name][()] for name in data.files}
-        except Exception:
-            return None  # corrupt or foreign file: treat as a miss
+            data = self._path(key).read_bytes()
+            record = json.loads(data) if data else None
+        except FileNotFoundError:
+            return None, "missing"
+        except (OSError, ValueError, RecursionError) as exc:
+            return None, f"unreadable ({type(exc).__name__}: {exc})"
+        if not data:
+            return None, "empty file"
+        if not isinstance(record, dict) or "kind" not in record:
+            return None, "no 'kind' field (foreign file)"
+        kind = record["kind"]
+        fields = _RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            return None, f"unknown entry kind {kind!r}"
+        found = sorted(record.keys() - {"kind"})
+        if found != sorted(fields):
+            return None, f"field set mismatch (expected {sorted(fields)}, found {found})"
+        for name, json_type in fields.items():
+            if type(record[name]) is not json_type:
+                return None, f"field {name!r} is not a JSON {json_type.__name__}"
+        return record, "ok"
+
+    def _get(self, key: str, kind: str) -> dict | None:
+        """The fields of a ``kind`` record, with hit/miss accounting."""
+        record, _ = self._read(key)
+        if record is None or record.pop("kind") != kind:
+            self.misses += 1
+            self._note("miss", key)
+            return None
+        self.hits += 1
+        self._note("hit", key)
+        return record
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists for ``key`` (no hit/miss accounting).
@@ -418,35 +458,16 @@ class ResultCache:
 
     # -- integrity ---------------------------------------------------------
 
-    #: Entry kinds this cache writes (anything else is a foreign file).
-    _KINDS = ("estimate", "value")
-
     def verify_entry(self, key: str) -> tuple[bool, str]:
         """Integrity-check one entry without hit/miss accounting.
 
-        Returns ``(True, "ok")`` for a fully readable entry,
+        Returns ``(True, "ok")`` for a well-formed record,
         ``(False, "missing")`` when no file exists, and
-        ``(False, <reason>)`` for a truncated/corrupt/foreign file.
-        Every array is force-read, so a file truncated mid-payload is
-        caught, not just a mangled header.
+        ``(False, <reason>)`` for a truncated/corrupt/foreign file (a
+        record cut anywhere no longer parses).
         """
-        path = self._path(key)
-        if not path.exists():
-            return False, "missing"
-        if path.stat().st_size == 0:
-            return False, "empty file"
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                kind = str(data["kind"][()])
-                if kind not in self._KINDS:
-                    return False, f"unknown entry kind {kind!r}"
-                for name in data.files:
-                    data[name]  # force-read: catches truncated payloads
-        except KeyError:
-            return False, "no 'kind' field (foreign file)"
-        except Exception as exc:
-            return False, f"unreadable ({type(exc).__name__}: {exc})"
-        return True, "ok"
+        record, reason = self._read(key)
+        return record is not None, reason
 
     def verify(self) -> tuple[list["CacheEntry"], list[tuple["CacheEntry", str]]]:
         """Integrity-check every entry; returns ``(ok, corrupt)``.
@@ -473,73 +494,54 @@ class ResultCache:
         except OSError:
             return False
 
-    def _store(self, key: str, **fields) -> None:
-        # Atomic publish: write the whole entry to a private temp file,
+    def _store(self, key: str, kind: str, fields: dict) -> None:
+        # Atomic publish: write the whole record to a private temp file,
         # fsync it, then rename over the final name.  A reader (or a
         # crash) can therefore never observe a torn entry — only the
-        # old state, or the complete new one.
+        # old state, or the complete new one.  A failed write (full
+        # disk, no permission) costs only the caching, never the run.
         path = self._path(key)
-        tmp = path.with_name(f".{key}.{os.getpid()}.tmp.npz")
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **fields)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        tmp = path.with_name(f".{key}.{os.getpid()}.tmp{RECORD_SUFFIX}")
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(json.dumps({"kind": kind, **fields}).encode() + b"\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            self._note("store_error", key, error=f"{type(exc).__name__}: {exc}")
+            return
+        self._note("store", key, kind=kind)
 
     # -- overhead estimates ------------------------------------------------
 
     def get_estimate(self, key: str) -> OverheadEstimate | None:
-        data = self._load(key, "estimate")
-        if data is None:
-            self.misses += 1
-            self._note("miss", key)
-            return None
-        self.hits += 1
-        self._note("hit", key)
-        return OverheadEstimate(
-            mean=float(data["mean"]),
-            std=float(data["std"]),
-            stderr=float(data["stderr"]),
-            ci_low=float(data["ci_low"]),
-            ci_high=float(data["ci_high"]),
-            n_runs=int(data["n_runs"]),
-        )
+        fields = self._get(key, "estimate")
+        return None if fields is None else OverheadEstimate(**fields)
 
     def put_estimate(self, key: str, estimate: OverheadEstimate) -> None:
-        self._note("store", key, kind="estimate")
-        self._store(
-            key,
-            kind="estimate",
-            mean=estimate.mean,
-            std=estimate.std,
-            stderr=estimate.stderr,
-            ci_low=estimate.ci_low,
-            ci_high=estimate.ci_high,
-            n_runs=estimate.n_runs,
-        )
+        self._store(key, "estimate", {
+            name: kind(getattr(estimate, name))  # float() / int()
+            for name, kind in _RECORD_FIELDS["estimate"].items()
+        })
 
     # -- generic scalar values (extension-study DES sweeps) ----------------
 
     def get_value(self, key: str) -> float | None:
-        data = self._load(key, "value")
-        if data is None:
-            self.misses += 1
-            self._note("miss", key)
-            return None
-        self.hits += 1
-        self._note("hit", key)
-        return float(data["value"])
+        fields = self._get(key, "value")
+        return None if fields is None else fields["value"]
 
     def put_value(self, key: str, value: float) -> None:
-        self._note("store", key, kind="value")
-        self._store(key, kind="value", value=float(value))
+        self._store(key, "value", {"value": float(value)})
 
     # -- introspection and garbage collection ------------------------------
 
     def entries(self) -> list["CacheEntry"]:
         """Every cache entry with its size and age, oldest first."""
         out = []
-        for path in self.directory.glob("*.npz"):
+        for path in self.directory.glob(f"*{RECORD_SUFFIX}"):
             if path.name.startswith("."):
                 continue  # in-flight atomic-write temp (or crash leftover)
             try:

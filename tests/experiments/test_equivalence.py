@@ -89,7 +89,7 @@ class TestShardedGolden:
             with SimulationPipeline(executor=executor, cache_dir=shard_dir) as pipe:
                 stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
                 pipe.resolve()
-            counts.append(len(list(shard_dir.glob("*.npz"))))
+            counts.append(len(list(shard_dir.glob("*.rec"))))
         assert all(c > 0 for c in counts)
         copied, skipped = merge_shard_dirs(
             [tmp_path / "s0", tmp_path / "s1"], tmp_path / "merged"
@@ -136,7 +136,7 @@ class TestWorkStealingShardedGolden:
         # whatever is left: nothing.
         pipes[1].resolve()
         pipes[0].resolve()
-        counts = [len(list((tmp_path / f"s{i}").glob("*.npz"))) for i in (0, 1)]
+        counts = [len(list((tmp_path / f"s{i}").glob("*.rec"))) for i in (0, 1)]
         for pipe in pipes:
             pipe.close()
         assert counts[0] == 0 and counts[1] == 54
@@ -195,7 +195,7 @@ class TestSchedulerCLI:
             "0 cache hits, 54 to compute -> 54 chunk jobs" in out
         assert "nothing executed" in out
         assert "Figure 5" not in out  # no tables
-        assert list(Path(cache).glob("*.npz")) == []  # nothing simulated
+        assert list(Path(cache).glob("*.rec")) == []  # nothing simulated
 
     def test_dry_run_sees_warm_cache(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
@@ -301,7 +301,7 @@ class TestShardCLI:
             assert pipe.points_submitted == 2 * 54
             assert 0 < pipe.points_skipped < pipe.points_submitted
             served = pipe.points_submitted - pipe.points_skipped
-            owned_unique = len(list(tmp_path.glob("*.npz")))
+            owned_unique = len(list(tmp_path.glob("*.rec")))
             # Each owned unique point serves both of its declarations.
             assert served == 2 * owned_unique
 

@@ -104,7 +104,7 @@ class TestCrashResume:
         assert main(_run_args(tmp_path)) == 0
         total = len(_manifest(tmp_path / "runs", "r1")["fates"])
         capsys.readouterr()
-        # corrupt-entry truncates one cached npz before the round runs;
+        # corrupt-entry truncates one cache record before the round runs;
         # resume validation must invalidate exactly that key.
         assert main(
             _run_args(tmp_path) + ["--resume", "--fault-plan", "corrupt-entry=0"]

@@ -395,7 +395,7 @@ class TestScenarioEquivalence:
         assert "fig5_jitter:Hera:base" in out
         assert "nothing executed" in out
         assert not (tmp_path / "out").exists()
-        assert list(cache.glob("*.npz")) == []
+        assert list(cache.glob("*.rec")) == []
 
     def test_generate_lists_every_member(self, capsys):
         assert main(["scenario", "generate", str(EXAMPLE)]) == 0
@@ -439,6 +439,13 @@ class TestScenarioEquivalence:
         assert "nothing executed" in capsys.readouterr().out
         with pytest.raises(SystemExit, match="requires --out"):
             main(["scenario", "run", str(EXAMPLE)])
+
+    def test_missing_out_is_rejected_before_the_toml_loads(self, tmp_path):
+        """The --out usage error wins over a scenario file that cannot load."""
+        missing = tmp_path / "no-such-scenario.toml"
+        with pytest.raises(SystemExit, match="requires --out") as exc:
+            main(["scenario", "run", str(missing)])
+        assert "no-such-scenario" not in str(exc.value)
 
     def test_out_of_domain_jitter_fails_with_a_message(self, tmp_path):
         """A draw leaving the model's domain exits cleanly at staging."""

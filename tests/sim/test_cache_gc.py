@@ -141,7 +141,7 @@ class TestCacheGC:
 
         cache = ResultCache(tmp_path / "shard")
         self._fill(cache, 2)
-        torn = tmp_path / "shard" / ".deadbeef.123.tmp.npz"
+        torn = tmp_path / "shard" / ".deadbeef.123.tmp.rec"
         torn.write_bytes(b"torn write")
         assert len(cache.entries()) == 2
         assert cache.stats()["entries"] == 2
@@ -244,12 +244,9 @@ class TestCacheVerify:
         assert cache.verify_entry("k00") == (False, "empty file")
         assert cache.stats()["empty_entries"] == 1
 
-    def test_foreign_npz_is_corrupt(self, tmp_path):
-        import numpy as np
-
+    def test_foreign_record_is_corrupt(self, tmp_path):
         cache = ResultCache(tmp_path)
-        with open(cache._path("alien"), "wb") as handle:
-            np.savez(handle, payload=np.arange(3))
+        cache._path("alien").write_text('{"payload": [0, 1, 2]}\n')
         ok, reason = cache.verify_entry("alien")
         assert not ok and "foreign" in reason
 

@@ -121,7 +121,7 @@ class TestMergeShardDirs:
         (tmp_path / "b").mkdir()
         import shutil
 
-        shutil.copyfile(tmp_path / "a" / "k1.npz", tmp_path / "b" / "k1.npz")
+        shutil.copyfile(tmp_path / "a" / "k1.rec", tmp_path / "b" / "k1.rec")
         copied, skipped = merge_shard_dirs(
             [tmp_path / "a", tmp_path / "b"], tmp_path / "out"
         )

@@ -228,7 +228,7 @@ class TestResultCache:
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        (tmp_path / ("c" * 64 + ".npz")).write_bytes(b"not an npz")
+        (tmp_path / ("c" * 64 + ".rec")).write_bytes(b"not a record")
         assert cache.get_estimate("c" * 64) is None
 
     def test_scheduled_plan_uses_cache(self, tmp_path, hera_sc1, run_plan):
