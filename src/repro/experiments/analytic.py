@@ -31,7 +31,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,26 @@ class AnalyticPoint:
     def as_list(self) -> list:
         return [self.P_fo, self.T_fo, self.H_pred_fo,
                 self.P_num, self.T_num, self.H_pred_num]
+
+
+_ARITY = len(fields(AnalyticPoint))
+
+#: ``*_fo`` columns may be null (no finite first-order optimum); the
+#: numerical optimum always exists.
+_NULLABLE = tuple(f.name.endswith("_fo") for f in fields(AnalyticPoint))
+
+
+def _point_from_json(values) -> AnalyticPoint | None:
+    """An :class:`AnalyticPoint` from a memo entry, or None if malformed."""
+    if not isinstance(values, list) or len(values) != _ARITY:
+        return None
+    for value, nullable in zip(values, _NULLABLE):
+        if value is None:
+            if not nullable:
+                return None
+        elif type(value) not in (int, float):
+            return None
+    return AnalyticPoint(*(None if v is None else float(v) for v in values))
 
 
 def model_key(model) -> str | None:
@@ -134,25 +154,58 @@ class AnalyticMemo:
         self.served = 0
         self.evaluated = 0
         if self.path is not None:
-            self.served, self.evaluated, self._table = self._read()
+            self.served, self.evaluated, self._table, _ = self._read()
         # Counters as last read from / written to disk: flush adds only
         # this process's traffic since then to what is on disk.
         self._synced = (self.served, self.evaluated)
         self._dirty = False
 
-    def _read(self) -> tuple[int, int, dict[str, AnalyticPoint]]:
-        """``(served, evaluated, entries)`` on disk; empty when unreadable."""
+    def _read(self) -> tuple[int, int, dict[str, AnalyticPoint], list[str]]:
+        """Read the file, keeping only well-formed parts.
+
+        Returns ``(served, evaluated, entries, problems)``.  A malformed
+        entry is left out (it reads as a miss and the next flush drops
+        it), a malformed counter reads as 0, and ``problems`` names
+        each.  A missing or unreadable file, or one from another
+        :data:`ANALYTIC_VERSION`, is an empty memo with no problems.
+        """
         try:
             payload = json.loads(self.path.read_text())
         except (OSError, ValueError):
             payload = None
         if not isinstance(payload, dict) or payload.get("version") != ANALYTIC_VERSION:
-            return 0, 0, {}
-        entries = {
-            key: AnalyticPoint(*(None if v is None else float(v) for v in values))
-            for key, values in payload.get("entries", {}).items()
-        }
-        return int(payload.get("served", 0)), int(payload.get("evaluated", 0)), entries
+            return 0, 0, {}, []
+        problems: list[str] = []
+        counters = []
+        for name in ("served", "evaluated"):
+            value = payload.get(name, 0)
+            if type(value) is not int:
+                problems.append(f"counter {name!r} is not an int")
+                value = 0
+            counters.append(value)
+        raw = payload.get("entries", {})
+        if not isinstance(raw, dict):
+            problems.append("'entries' is not an object")
+            raw = {}
+        entries = {}
+        for key, values in raw.items():
+            point = _point_from_json(values)
+            if point is None:
+                problems.append(f"entry {key[:16]}: not a list of {_ARITY} numbers")
+            else:
+                entries[key] = point
+        return counters[0], counters[1], entries, problems
+
+    def verify(self) -> list[str]:
+        """Every malformed part of the persisted memo (empty when clean)."""
+        if self.path is None:
+            return []
+        return self._read()[3]
+
+    def rewrite(self) -> None:
+        """Write the memo back with only its well-formed parts."""
+        self._dirty = True
+        self.flush()
 
     def __len__(self) -> int:
         return len(self._table)
@@ -196,7 +249,7 @@ class AnalyticMemo:
         lock = self.path.with_name(f".{self.path.name}.lock")
         with open(lock, "a") as handle:
             fcntl.flock(handle, fcntl.LOCK_EX)  # released when closed
-            served, evaluated, entries = self._read()
+            served, evaluated, entries, _ = self._read()
             entries.update(self._table)
             self._table = entries
             self.served = served + self.served - self._synced[0]

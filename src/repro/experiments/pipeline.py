@@ -116,15 +116,12 @@ class PointEvent:
     chunk jobs ran this round), ``"served"`` (memo or disk cache), or
     ``"skipped"`` (a sharded executor did not claim it; the value is
     ``None``).  ``group`` is the study label active when the point was
-    declared (see :attr:`SimulationPipeline.current_group`).  ``key``
-    is the point's content-addressed plan key — what the run manifest
-    journals so an interrupted run can be resumed; duplicates of one
-    key fire one event each, all carrying the same key.
+    declared (see :attr:`SimulationPipeline.current_group`).
+    Duplicates of one plan key fire one event each.
     """
 
     group: str | None
     status: str
-    key: str | None = None
 
 
 def materialize(obj):
@@ -296,27 +293,6 @@ class SimulationPipeline:
             if served:
                 self.trace.event("memo_serve", study=label, count=served)
         return points
-
-    def pending_keys(self) -> list[str]:
-        """Plan keys of the pending declarations (deduplicated, in order).
-
-        The resume path validates a run manifest against exactly this
-        set: a journaled fate whose key is no longer pending is stale
-        (the plan changed — different backend version, budget, seed…)
-        and must not be reused.
-        """
-        keys: list[str] = []
-        seen: set[str] = set()
-        for kind, item, _, _ in self._pending:
-            if kind == "request":
-                key = request_key(item)
-            else:
-                fn, args, kwargs = item
-                key = call_key(fn, args, kwargs)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        return keys
 
     # -- previewing it (dry runs) ------------------------------------------
 
@@ -498,7 +474,7 @@ class SimulationPipeline:
                 if self.trace.enabled:
                     self.trace.event("point", study=group, status=status, key=key)
                 if on_event is not None:
-                    on_event(PointEvent(group=group, status=status, key=key))
+                    on_event(PointEvent(group=group, status=status))
 
         # Serve/skip calls: memo, disk cache, then one claim batch for
         # the rest (mirrors the request path; a work-stealing shard
@@ -595,11 +571,12 @@ class SimulationPipeline:
             return (0, 0)
         return (self.cache.hits, self.cache.misses)
 
-    def close(self, status: str = "complete") -> None:
+    def close(self, status: str = "complete", error: str | None = None) -> None:
         """Flush the analytic memo, release the executor, seal the trace.
 
         ``status`` is the run's outcome as the trace's ``trace_end``
-        event records it (``"failed"`` when the ``with`` block raised).
+        event records it (``"failed"`` when the ``with`` block raised),
+        and ``error`` the name of the exception that ended it.
         The executor and the trace are released even when the flush
         raises (a full disk, an unwritable cache directory); the flush
         error still propagates.
@@ -613,10 +590,13 @@ class SimulationPipeline:
                 # journal is sealed — `trace summary` cross-checks the
                 # snapshot against the per-event tallies.
                 self.trace.event("snapshot", metrics=self.metrics.snapshot())
-                self.trace.close(status)
+                self.trace.close(status, error)
 
     def __enter__(self) -> "SimulationPipeline":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close("complete" if exc_type is None else "failed")
+        if exc_type is None:
+            self.close()
+        else:
+            self.close("failed", exc_type.__name__)

@@ -43,19 +43,12 @@ from ..platforms.catalog import PLATFORM_NAMES, PLATFORMS
 from ..platforms.scenarios import SCENARIOS
 from ..sim.executors import make_executor, merge_shard_dirs
 from ..sim.faults import CRASH_EXIT_CODE, SimulatedCrash, parse_fault_plan
-from ..sim.manifest import (
-    DEFAULT_RUNS_DIR,
-    RunManifest,
-    RunRecorder,
-    manifest_path,
-    validate_resume,
-)
 from ..sim.montecarlo import FAST, METHODS, PAPER, Fidelity
 from ..sim.plan import ResultCache
 from ..sim.rng import DEFAULT_SEED
 from ..obs.metrics import MetricsRegistry
 from ..obs.stream import LineStream
-from ..obs.trace import TRACE_NAME, TraceWriter
+from ..obs.trace import DEFAULT_TRACE_DIR, TRACE_NAME, TraceWriter
 from .analytic import AnalyticMemo
 from .common import FigureResult, SimSettings
 from .pipeline import SimulationPipeline
@@ -68,13 +61,13 @@ __all__ = ["main", "print_input_tables", "print_command_index", "check_experimen
 #: in EXPERIMENTS.md are legitimate and exempt from the drift check.
 _META_COMMANDS = {
     "all", "tables", "report", "index", "sweep", "merge", "cache", "scenario",
-    "resume", "trace",
+    "trace",
 }
 
 #: Meta commands EXPERIMENTS.md is required to document (the figure
 #: commands are always required; ``index`` documents itself).
 _DOCUMENTED_META = (
-    "all", "tables", "sweep", "merge", "cache", "scenario", "resume", "trace",
+    "all", "tables", "sweep", "merge", "cache", "scenario", "trace",
 )
 
 #: Default claim-board lease TTL (seconds) in work-stealing shard mode:
@@ -174,23 +167,18 @@ def _trace_from_args(
     """The :class:`TraceWriter` implied by ``--trace``/``--trace-file``.
 
     ``--trace-file`` names the journal explicitly; bare ``--trace``
-    puts it next to the run's manifest (``<runs-dir>/<run-id>/``) when
-    the invocation is journaled, else directly under the runs
-    directory.  Returns ``None`` when tracing is off — the pipeline
-    then holds the null writer and the hot paths pay one flag check.
+    writes ``.repro-runs/trace.jsonl``.  Returns ``None`` when tracing
+    is off — the pipeline then holds the null writer and the hot paths
+    pay one flag check.
     """
     trace_file = getattr(args, "trace_file", None)
     if not getattr(args, "trace", False) and trace_file is None:
         return None
     if trace_file is None:
-        runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
-        run_id = getattr(args, "run_id", None)
-        base = Path(runs_dir) / run_id if run_id is not None else Path(runs_dir)
-        trace_file = base / TRACE_NAME
+        trace_file = Path(DEFAULT_TRACE_DIR) / TRACE_NAME
     writer = TraceWriter(
         trace_file,
         argv=list(argv),
-        run_id=getattr(args, "run_id", None),
         command=getattr(args, "command", None),
     )
     print(f"[trace] journaling events to {writer.path}", file=sys.stderr)
@@ -204,7 +192,7 @@ def _pipeline_from_args(
 
     ``--jobs N`` sizes the one process pool every figure shares; without
     it the pipeline runs serially.  Every flag combination (shard vs
-    cache flags, ``--run-id``/``--resume`` without a cache) is checked
+    cache flags, ``--max-inflight``, ``--fault-plan``) is checked
     before the trace writer or the pipeline exists, so misuse fails
     without doing work or leaving a journal behind.  Shard flags wrap
     the executor in a
@@ -212,8 +200,8 @@ def _pipeline_from_args(
     cache at the shard output directory.  Every pipeline carries one
     :class:`~repro.obs.metrics.MetricsRegistry` and (with ``--trace``)
     one :class:`~repro.obs.trace.TraceWriter` — the observability
-    spine the progress printer, dry-run report, resume summary and
-    manifest snapshot all read.
+    spine the progress printer, dry-run report and trace snapshot all
+    read.
     """
     shard = _shard_args(args)
     if shard is not None and (args.cache_dir is not None or args.no_cache):
@@ -223,15 +211,6 @@ def _pipeline_from_args(
             "--cache-dir/--no-cache cannot be combined with shard flags; "
             "the shard writes to --shard-dir (merge the shards, then run "
             "with --cache-dir on the merged directory)"
-        )
-    if getattr(args, "run_id", None) is None:
-        if getattr(args, "resume", False):
-            raise SystemExit("--resume requires --run-id (whose manifest to resume)")
-    elif shard is None and (args.no_cache or args.cache_dir is None):
-        raise SystemExit(
-            "--run-id needs a result cache (--cache-dir or --shard-dir): the "
-            "manifest journals point fates; the cache holds the values a "
-            "resume reuses"
         )
     jobs = 1 if args.jobs is None else args.jobs
     max_inflight = getattr(args, "max_inflight", None)
@@ -398,83 +377,6 @@ def _chain_events(*callbacks: Callable | None) -> Callable | None:
     return on_event
 
 
-def _recorder_from_args(
-    args: argparse.Namespace,
-    argv: Sequence[str],
-    pipeline: SimulationPipeline,
-    pre_validate: Callable | None = None,
-) -> RunRecorder | None:
-    """The durable-run journal implied by ``--run-id``/``--resume``.
-
-    Must be called *after* staging (a resume validates the manifest
-    against the pipeline's pending plan keys).  ``pre_validate`` runs
-    between loading a resumed manifest and the validation pass — the
-    adaptive engine uses it to replay journaled waves onto the
-    pipeline, so the resumed plan covers every key of the original
-    run.  All reporting goes to stderr, keeping the table bytes on
-    stdout identical to an unjournaled run.
-    """
-    run_id = getattr(args, "run_id", None)
-    resume = getattr(args, "resume", False)
-    if run_id is None:
-        return None
-    runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
-    try:
-        if not resume:
-            recorder = RunRecorder.create(runs_dir, run_id, argv,
-                                          metrics=pipeline.metrics)
-            print(f"[run] journaling to {recorder.path}", file=sys.stderr)
-            return recorder
-        recorder = RunRecorder.resume(runs_dir, run_id, argv,
-                                      metrics=pipeline.metrics)
-        if pre_validate is not None:
-            pre_validate(recorder.manifest)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
-    report = validate_resume(
-        recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv
-    )
-    for outcome in ("reusable", "invalidated", "missing", "stale"):
-        n = len(getattr(report, outcome))
-        if n:
-            pipeline.metrics.counter("resume_points", outcome=outcome).inc(n)
-    if pipeline.trace.enabled:
-        pipeline.trace.event(
-            "resume_validate",
-            reused=len(report.reusable),
-            invalidated=len(report.invalidated),
-            missing=len(report.missing),
-            stale=len(report.stale),
-        )
-    for line in report.lines():
-        print(line, file=sys.stderr)
-    recorder.write()
-    return recorder
-
-
-def _finish_recorder(
-    recorder: RunRecorder | None, pipeline: SimulationPipeline
-) -> None:
-    """Seal a run journal and print the resumed round's reuse summary.
-
-    The summary line reads the same registry counters the recorder
-    wrote (``resume_points{outcome}``), so the printed numbers cannot
-    drift from the journaled manifest.  Fresh (unresumed) runs stay
-    silent — their stderr is unchanged from the pre-metrics CLI.
-    """
-    if recorder is None:
-        return
-    recorder.finish()
-    manifest = recorder.manifest
-    if manifest.resumes:
-        invalidated = pipeline.metrics.value("resume_points", outcome="invalidated")
-        print(
-            f"[resume] round delivered: {manifest.reused} reused, "
-            f"{manifest.recomputed} recomputed, {invalidated} invalidated",
-            file=sys.stderr,
-        )
-
-
 def _print_dry_run(pipeline: SimulationPipeline, stream=None) -> None:
     """Planned-work report of every staged study (``--dry-run``).
 
@@ -567,35 +469,13 @@ def _add_sim_options(
         default=None,
         metavar="DIR",
         help="content-addressed on-disk cache of simulation results; "
-        "re-runs skip every already-computed point",
+        "re-runs skip every already-computed point (re-running a crashed "
+        "command on the same directory finishes it)",
     )
     sub.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the result cache even when --cache-dir is set",
-    )
-    sub.add_argument(
-        "--run-id",
-        default=None,
-        metavar="ID",
-        help="journal this invocation as a durable run: every resolved "
-        "point's fate is written atomically to a manifest under "
-        "--runs-dir, so an interrupted run can be resumed "
-        "(`repro-experiments resume ID`); requires a result cache "
-        "(--cache-dir or --shard-dir)",
-    )
-    sub.add_argument(
-        "--runs-dir",
-        default=None,
-        metavar="DIR",
-        help=f"directory holding run manifests (default {DEFAULT_RUNS_DIR})",
-    )
-    sub.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue the --run-id run from its manifest: journaled fates "
-        "whose cache entries verify are reused; stale/corrupt/missing "
-        "ones recompute",
     )
     sub.add_argument(
         "--fault-plan",
@@ -616,8 +496,8 @@ def _add_sim_options(
         "--trace-file",
         default=None,
         metavar="FILE",
-        help="trace journal path (default: <runs-dir>/<run-id>/trace.jsonl "
-        "for journaled runs, else <runs-dir>/trace.jsonl; implies --trace)",
+        help=f"trace journal path (default: {DEFAULT_TRACE_DIR}/{TRACE_NAME}; "
+        "implies --trace)",
     )
 
 
@@ -784,43 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", required=True, metavar="DIR", help="merge target cache"
     )
 
-    sub_resume = subparsers.add_parser(
-        "resume",
-        help="continue an interrupted --run-id run from its manifest, "
-        "reusing every completed point whose cache entry verifies",
-    )
-    sub_resume.add_argument("run_id", metavar="RUN_ID")
-    sub_resume.add_argument(
-        "--runs-dir",
-        default=None,
-        metavar="DIR",
-        help=f"directory holding run manifests (default {DEFAULT_RUNS_DIR})",
-    )
-    sub_resume.add_argument(
-        "--jobs", type=int, default=None,
-        help="override the run's worker-process count (execution-only; "
-        "the result bytes are unaffected)",
-    )
-    sub_resume.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="override the run's in-flight window (execution-only)",
-    )
-    sub_resume.add_argument(
-        "--progress", action="store_true", help="per-study progress to stderr"
-    )
-    sub_resume.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
-        help="dev/test harness: inject faults into the resumed round",
-    )
-    sub_resume.add_argument(
-        "--trace", action="store_true",
-        help="journal the resumed round's events for `repro-experiments trace`",
-    )
-    sub_resume.add_argument(
-        "--trace-file", default=None, metavar="FILE",
-        help="trace journal path of the resumed round (implies --trace)",
-    )
-
     sub_cache = subparsers.add_parser(
         "cache",
         help="inspect, verify or prune a result cache (stats / ls / verify / prune)",
@@ -840,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=("text", "json"),
                 default="text",
                 help="output format: human-readable lines (text, default) or "
-                "one repro-metrics/1 JSON document (the manifest/trace "
-                "snapshot schema)",
+                "one repro-metrics/1 JSON document (the trace snapshot "
+                "schema)",
             )
         if cache_cmd == "verify":
             c.add_argument(
@@ -891,14 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         t.add_argument(
             "target",
             metavar="TRACE",
-            help="a trace.jsonl path, a directory containing one, or a "
-            "--runs-dir run id",
-        )
-        t.add_argument(
-            "--runs-dir",
-            default=None,
-            metavar="DIR",
-            help=f"directory holding run manifests (default {DEFAULT_RUNS_DIR})",
+            help=f"a trace file, or a directory containing {TRACE_NAME}",
         )
         if trace_cmd == "summary":
             t.add_argument(
@@ -906,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=("text", "json"),
                 default="text",
                 help="rendered report (text, default) or the "
-                "repro-trace-summary/2 JSON document",
+                "repro-trace-summary/3 JSON document",
             )
         if trace_cmd == "timeline":
             t.add_argument(
@@ -1030,11 +866,7 @@ def check_experiments_md(path: str | Path, stream=None) -> int:
     return 0
 
 
-def _write_report(
-    args: argparse.Namespace,
-    pipeline: SimulationPipeline,
-    argv: Sequence[str] = (),
-) -> None:
+def _write_report(args: argparse.Namespace, pipeline: SimulationPipeline) -> None:
     import io as _io
 
     from ..io.report import write_report
@@ -1042,14 +874,9 @@ def _write_report(
     settings = _settings_from_args(args)
     collected: list[tuple[str, list[FigureResult]]] = []
     staged = _stage_specs([get_spec(n) for n in REGISTRY], args, pipeline)
-    recorder = _recorder_from_args(args, argv, pipeline)
-    on_event = _chain_events(
-        recorder.on_event if recorder is not None else None,
-        _progress_printer(staged, pipeline) if args.progress else None,
-    )
+    on_event = _progress_printer(staged, pipeline) if args.progress else None
     _resolve_and_emit(staged, pipeline, emitter=None, collect=collected,
                       on_event=on_event)
-    _finish_recorder(recorder, pipeline)
     # Re-group per study (fig2 --all-platforms stages one study per
     # platform but the report keeps one section per figure).
     sections: list[tuple[str, list[FigureResult]]] = []
@@ -1094,8 +921,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         stats = cache.stats()
         memo = AnalyticMemo(Path(args.cache_dir) / "analytic_memo.json")
         if getattr(args, "format", "text") == "json":
-            # The same repro-metrics/1 document shape the run manifest
-            # and trace snapshot use, so one loader reads all three.
+            # The same repro-metrics/1 document shape the trace
+            # snapshot uses, so one loader reads both.
             registry = MetricsRegistry()
             registry.gauge("cache_entries").set(stats["entries"])
             registry.gauge("cache_bytes").set(stats["total_bytes"])
@@ -1136,21 +963,28 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.cache_command == "verify":
         ok, corrupt = cache.verify()
+        memo = AnalyticMemo(Path(args.cache_dir) / "analytic_memo.json")
+        malformed = memo.verify()
         for entry, reason in corrupt:
             print(f"[verify] corrupt {entry.key[:16]}: {reason}")
-        if corrupt and args.delete:
+        for problem in malformed:
+            print(f"[verify] malformed analytic memo {problem}")
+        memo_note = f", {len(malformed)} malformed memo parts" if malformed else ""
+        if (corrupt or malformed) and args.delete:
             for entry, _ in corrupt:
                 cache.invalidate(entry.key)
+            if malformed:
+                memo.rewrite()
             print(
-                f"[verify] {len(ok)} entries ok, {len(corrupt)} corrupt removed "
-                f"({cache.directory})"
+                f"[verify] {len(ok)} entries ok, {len(corrupt)} corrupt"
+                f"{memo_note} removed ({cache.directory})"
             )
             return 0
         print(
-            f"[verify] {len(ok)} entries ok, {len(corrupt)} corrupt "
+            f"[verify] {len(ok)} entries ok, {len(corrupt)} corrupt{memo_note} "
             f"({cache.directory})"
         )
-        return 1 if corrupt else 0
+        return 1 if corrupt or malformed else 0
     # prune
     if args.max_age_days is None and args.max_size_mb is None:
         print("[prune] nothing to do: pass --max-age-days and/or --max-size-mb")
@@ -1195,30 +1029,23 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_target_path(target: str, runs_dir: str | None) -> Path:
-    """Resolve a ``trace`` operand: file path, run directory, or run id."""
+def _trace_target_path(target: str) -> Path:
+    """Resolve a ``trace`` operand: a trace file, or a directory holding one."""
     path = Path(target)
     if path.is_file():
         return path
-    if path.is_dir():
-        candidate = path / TRACE_NAME
-        if candidate.is_file():
-            return candidate
-    base = Path(runs_dir) if runs_dir is not None else Path(DEFAULT_RUNS_DIR)
-    candidate = base / target / TRACE_NAME
-    if candidate.is_file():
-        return candidate
+    if path.is_dir() and (path / TRACE_NAME).is_file():
+        return path / TRACE_NAME
     raise SystemExit(
-        f"no trace found for {target!r}: not a trace file, not a directory "
-        f"containing {TRACE_NAME}, and {candidate} does not exist (was the "
-        f"run started with --trace?)"
+        f"no trace found for {target!r}: not a trace file and not a "
+        f"directory containing {TRACE_NAME} (was the run started with --trace?)"
     )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from ..obs.trace import load_trace
 
-    path = _trace_target_path(args.target, args.runs_dir)
+    path = _trace_target_path(args.target)
     try:
         events = load_trace(path)
     except ReproError as exc:
@@ -1421,12 +1248,6 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
             # decisions, not plans, until the data exists.
             _print_dry_run(pipeline)
             return 0
-        recorder = _recorder_from_args(
-            args, argv, pipeline,
-            pre_validate=run.replay if run is not None else None,
-        )
-        if run is not None:
-            run.attach_recorder(recorder)
         n_members = len(members) if run is None else run.n_members
         if args.progress:
             # The planned-work preview costs a plan key per point and a
@@ -1447,7 +1268,6 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
                 file=sys.stderr,
             )
         on_event = _chain_events(
-            recorder.on_event if recorder is not None else None,
             _progress_printer(staged, pipeline) if args.progress else None,
             run.on_event if run is not None else None,
         )
@@ -1475,7 +1295,6 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
                 f"member result files -> {path.parent}",
                 file=sys.stderr,
             )
-        _finish_recorder(recorder, pipeline)
         if pipeline.cache is not None:
             hits, misses = pipeline.cache_stats
             print(
@@ -1487,54 +1306,6 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
     return 0
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    """Replay an interrupted run's stored argv with ``--resume`` appended.
-
-    Execution-only overrides (``--jobs``, ``--max-inflight``, …) are
-    appended after the stored arguments, so argparse's last-wins rule
-    applies them without touching the result-relevant configuration —
-    which is exactly the set the manifest's config hash covers, so the
-    resumed round still validates against the original run.
-    """
-    runs_dir = args.runs_dir if args.runs_dir is not None else DEFAULT_RUNS_DIR
-    try:
-        manifest = RunManifest.load(manifest_path(runs_dir, args.run_id))
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
-    # Injected faults are one-shot: replaying the crash that interrupted
-    # the run would just crash it again, forever.
-    replay: list[str] = []
-    skip = 0
-    for arg in manifest.argv:
-        if skip:
-            skip -= 1
-            continue
-        if arg == "--fault-plan":
-            skip = 1
-            continue
-        if arg.startswith("--fault-plan="):
-            continue
-        replay.append(arg)
-    if "--resume" not in replay:
-        replay.append("--resume")
-    if args.runs_dir is not None:
-        replay += ["--runs-dir", args.runs_dir]
-    if args.jobs is not None:
-        replay += ["--jobs", str(args.jobs)]
-    if args.max_inflight is not None:
-        replay += ["--max-inflight", str(args.max_inflight)]
-    if args.progress:
-        replay.append("--progress")
-    if args.fault_plan is not None:
-        replay += ["--fault-plan", args.fault_plan]
-    if args.trace and "--trace" not in replay:
-        replay.append("--trace")
-    if args.trace_file is not None:
-        replay += ["--trace-file", args.trace_file]
-    print(f"[resume] replaying: {' '.join(replay)}", file=sys.stderr)
-    return main(replay)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
@@ -1542,8 +1313,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _dispatch(args, argv)
     except SimulatedCrash as exc:
         # The fault harness's kill -9 analogue: die loudly with a
-        # dedicated exit code so crash-resume tests and CI can tell an
-        # injected crash from a real failure.
+        # dedicated exit code so crash tests and CI can tell an
+        # injected crash from a real failure.  Re-running the same
+        # command on the same --cache-dir serves every completed point.
         print(f"[fault] {exc}", file=sys.stderr)
         return CRASH_EXIT_CODE
 
@@ -1561,8 +1333,6 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         return _cmd_merge(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "resume":
-        return _cmd_resume(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "scenario":
@@ -1595,21 +1365,16 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
             _print_dry_run(pipeline)
             return 0
         if args.command == "report":
-            _write_report(args, pipeline, argv)
+            _write_report(args, pipeline)
         else:
             staged = _stage_specs(specs, args, pipeline)
-            recorder = _recorder_from_args(args, argv, pipeline)
             emitter = (
                 None
                 if sharded
                 else StreamingEmitter(csv_dir=args.csv, trace=pipeline.trace)
             )
-            on_event = _chain_events(
-                recorder.on_event if recorder is not None else None,
-                _progress_printer(staged, pipeline) if args.progress else None,
-            )
+            on_event = _progress_printer(staged, pipeline) if args.progress else None
             _resolve_and_emit(staged, pipeline, emitter=emitter, on_event=on_event)
-            _finish_recorder(recorder, pipeline)
         if sharded:
             index, count = _shard_args(args)
             print(

@@ -24,14 +24,13 @@ executors, and the reductions are order-independent, so the staged
 waves, the stopping decisions and the final band tables are identical
 whatever ``--jobs``/``--max-inflight`` produced them.
 
-Every staging decision is journaled into the run manifest
-(:meth:`~repro.sim.manifest.RunRecorder.record_adaptive`), so
-``resume`` *replays* the journaled waves instead of re-deriving
-convergence: all plan keys of the original run are staged up front,
-completed points come back from the result cache, journaled stopping
-decisions are reused, and the recomputed tail (decisions past the
-crash point) is verified against any journaled wave it must agree
-with — a mismatch (corrupted journal, changed inputs) fails loudly.
+The staging decisions are recorded in :attr:`AdaptiveRun.journal`
+(policy, waves, converged rows, per-family counters), which ``scenario
+run`` writes next to the member results as their provenance.  A run
+that crashes needs no journal to recover: re-running the same command
+on the same ``--cache-dir`` re-derives the identical waves (the
+decisions are pure functions of the data) and serves every point the
+crashed run completed from the result cache.
 
 Replicate ``r`` of a variant carries the exact seeds of the fixed
 path (master seed for replicate 0, ``replicate_seed`` otherwise), so
@@ -214,9 +213,6 @@ class AdaptiveRun:
 
     * :meth:`stage_initial` before the resolve loop (wave 0 of every
       family);
-    * :meth:`replay` as the recorder's pre-validation hook on resume
-      (re-stages every journaled wave so the resumed plan covers the
-      original run's keys);
     * :meth:`on_event` chained into the pipeline's ``on_event`` (folds
       completed waves the moment their last point lands);
     * :meth:`on_round` as the pipeline's ``on_round`` (folds waves that
@@ -260,7 +256,6 @@ class AdaptiveRun:
         #: progress printer, which re-reads it as waves land.
         self.staged_studies: list[StagedStudy] = []
         self._group_map: dict[str, AdaptiveFamily] = {}
-        self.recorder = None
         self.journal: dict = {"policy": policy.to_dict(), "families": {}}
 
     # -- staging -------------------------------------------------------------
@@ -383,56 +378,6 @@ class AdaptiveRun:
                 file=self.stream,
             )
 
-    # -- resume --------------------------------------------------------------
-
-    def replay(self, manifest) -> None:
-        """Re-stage every journaled wave of a resumed run.
-
-        Called by the runner between loading the manifest and resume
-        validation, so the resumed plan covers every key of the
-        original run and completed points come back from the cache.
-        Journaled stopping decisions are *reused*, not re-derived: the
-        converged map is seeded from the journal, and the live
-        convergence pass skips rows it already covers.
-        """
-        journal = getattr(manifest, "adaptive", None) or {}
-        if not journal:
-            return
-        stored_policy = journal.get("policy", {})
-        if stored_policy != self.policy.to_dict():
-            raise ReproError(
-                f"adaptive journal mismatch: the run manifest was recorded "
-                f"with policy {stored_policy!r} but this resume uses "
-                f"{self.policy.to_dict()!r}; re-run with the original "
-                "adaptive flags"
-            )
-        stored = journal.get("families", {})
-        for family in self.families:
-            entry = stored.get(family.label)
-            if not entry:
-                continue
-            try:
-                family.converged = {
-                    int(r): int(w) for r, w in entry["converged"].items()
-                }
-                waves = entry["waves"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ReproError(
-                    f"adaptive journal mismatch: malformed journal entry "
-                    f"for family {family.label!r}: {exc!r}"
-                ) from exc
-            self.journal["families"][family.label]["converged"] = {
-                str(r): family.converged[r] for r in sorted(family.converged)
-            }
-            for payload in waves[len(family.waves) :]:
-                rows = payload.get("rows")
-                self._stage_wave(
-                    family,
-                    int(payload["start"]),
-                    int(payload["stop"]),
-                    tuple(int(r) for r in rows) if rows is not None else None,
-                )
-
     # -- the observe/extend loop ---------------------------------------------
 
     def on_event(self, event) -> None:
@@ -485,9 +430,9 @@ class AdaptiveRun:
         """Update convergence streaks, then extend or finish the family.
 
         Convergence is evaluated per row covered by the wave, against
-        the width recorded at the previous fold; rows already converged
-        (live or seeded from a resumed journal) are skipped, so resume
-        never re-derives a journaled decision.
+        the width recorded at the previous fold.  Rows that already
+        converged are skipped: a wave of an axis-less study
+        (``rows=None``) covers the full grid again.
         """
         policy = self.policy
         already_converged = len(family.converged)
@@ -533,58 +478,13 @@ class AdaptiveRun:
                 file=self.stream,
             )
         next_start = family.waves[-1].stop
-        stages_next = bool(active) and next_start < policy.max_replicates
-        if family.next_fold < len(family.waves):
-            self._verify_replayed(family, wave, active, stages_next)
-            return
-        if not stages_next:
+        if not active or next_start >= policy.max_replicates:
             family.done = True
             self._journal(family)
             return
         next_stop = min(next_start + policy.wave, policy.max_replicates)
         rows = None if family.grid is None else tuple(active)
         self._stage_wave(family, next_start, next_stop, rows)
-
-    def _verify_replayed(
-        self,
-        family: AdaptiveFamily,
-        wave: AdaptiveWave,
-        active: list[int],
-        stages_next: bool,
-    ) -> None:
-        """Check a replayed wave against the freshly computed decision.
-
-        On resume the next wave is already staged from the journal;
-        instead of staging we verify the journaled decision is the one
-        the live algorithm would take — a disagreement means the
-        journal and the simulated data no longer describe the same run.
-        """
-        staged = family.waves[family.next_fold]
-        expected_rows = None if family.grid is None else tuple(active)
-        if not stages_next:
-            raise ReproError(
-                f"adaptive journal mismatch: family {family.label!r} is "
-                f"complete after wave {wave.index} but the journal stages "
-                f"wave {staged.index}"
-            )
-        expected_start = family.waves[family.next_fold - 1].stop
-        expected_stop = min(
-            expected_start + self.policy.wave, self.policy.max_replicates
-        )
-        if (
-            staged.start != expected_start
-            or staged.stop != expected_stop
-            or staged.rows != expected_rows
-        ):
-            raise ReproError(
-                f"adaptive journal mismatch: family {family.label!r} wave "
-                f"{staged.index} was journaled as replicates "
-                f"{staged.start}..{staged.stop - 1} over rows "
-                f"{list(staged.rows) if staged.rows is not None else 'all'}, "
-                f"but the resumed data derives replicates "
-                f"{expected_start}..{expected_stop - 1} over rows "
-                f"{list(expected_rows) if expected_rows is not None else 'all'}"
-            )
 
     # -- journaling and reporting --------------------------------------------
 
@@ -594,14 +494,6 @@ class AdaptiveRun:
             str(r): family.converged[r] for r in sorted(family.converged)
         }
         entry["summary"] = family.summary()
-        if self.recorder is not None:
-            self.recorder.record_adaptive(self.journal)
-
-    def attach_recorder(self, recorder) -> None:
-        """Journal through ``recorder`` from now on (and write once)."""
-        self.recorder = recorder
-        if recorder is not None:
-            recorder.record_adaptive(self.journal)
 
     @property
     def n_members(self) -> int:

@@ -282,7 +282,7 @@ def adaptive_notes(policy: dict, summary: dict) -> tuple[str, str]:
 
     ``policy`` is the serialized
     :class:`~repro.experiments.scenarios.adaptive.AdaptivePolicy` and
-    ``summary`` the per-family counters journaled in the run manifest.
+    ``summary`` the per-family counters of its adaptive journal.
     Both the live report path and ``scenario aggregate`` (reading the
     counters back from disk) build their notes through this function,
     so the two outputs stay byte-identical.

@@ -1,8 +1,8 @@
 """Observability: structured tracing, metrics, and trace analysis.
 
 One invocation, one :class:`~repro.obs.metrics.MetricsRegistry`
-(always on — the progress printer, dry-run report, resume summary and
-manifest snapshot all read it) and one
+(always on — the progress printer, dry-run report and trace snapshot
+all read it) and one
 :class:`~repro.obs.trace.TraceWriter` (``--trace``; the
 :data:`~repro.obs.trace.NULL_TRACE` null writer otherwise, so hot
 paths pay a single ``enabled`` check).  :mod:`repro.obs.report` turns

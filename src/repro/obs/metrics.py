@@ -2,18 +2,16 @@
 
 The pipeline, scheduler, caches and adaptive engine used to keep their
 own private tallies (``points_computed`` attributes, ``Counter`` dicts
-inside the progress printer, hand-rolled ``reused``/``recomputed``
-ints on the run manifest).  This module replaces them with one
+inside the progress printer).  This module replaces them with one
 :class:`MetricsRegistry` of labeled counters, gauges and histograms:
 
 * every layer increments the same registry, so the ``--progress``
-  printer, the ``--dry-run`` report, the resume summary and the
-  manifest snapshot all read one source of truth instead of each
-  re-counting events;
+  printer, the ``--dry-run`` report and the trace snapshot all read
+  one source of truth instead of each re-counting events;
 * :meth:`MetricsRegistry.snapshot` serialises the whole registry as a
-  stable, sorted JSON document (``repro-metrics/1``) — journaled into
-  the run manifest at exit and into the trace as its final event, and
-  reused verbatim by ``cache stats --format json``.
+  stable, sorted JSON document (``repro-metrics/1``) — written into
+  the trace as its final event, and reused verbatim by ``cache stats
+  --format json``.
 
 Metrics are cheap (a dict lookup and an integer add per event — the
 events are per *point*, never per Monte-Carlo sample), so the registry
@@ -33,7 +31,7 @@ __all__ = [
 ]
 
 #: Schema tag of :meth:`MetricsRegistry.snapshot` payloads (bumped on
-#: incompatible changes, mirroring the manifest format discipline).
+#: incompatible changes, like the trace format).
 METRICS_SCHEMA = "repro-metrics/1"
 
 
@@ -78,8 +76,8 @@ class Histogram:
     """Summary statistics of observed samples (job wall times).
 
     Full per-sample retention belongs in the trace; the registry keeps
-    the count/total/min/max summary, which is what the manifest
-    snapshot and the utilization report need.
+    the count/total/min/max summary, which is what the trace snapshot
+    and the utilization report need.
     """
 
     kind = "histogram"

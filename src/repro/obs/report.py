@@ -8,6 +8,8 @@ the questions a 40-minute sweep raises afterwards:
   ``failed``), or ``None`` when the journal has no ``trace_end`` (the
   process died before sealing it); anything but ``complete`` is
   flagged in the text rendering;
+* **error** — the exception type that ended a failed run (e.g.
+  ``SimulatedCrash``), or ``None``;
 * **phases** — wall time per span name (declare / execute), so "where
   did the time go" has a number per layer;
 * **declare by study** — the ``declare`` phase split by each span's
@@ -19,7 +21,7 @@ the questions a 40-minute sweep raises afterwards:
   against the execute window) from the timed job envelopes;
 * **studies / fates** — per-study computed/served/skipped tallies
   (per declaration, matching the metrics registry) and unique-key
-  fates (last event wins, matching the run manifest exactly);
+  fates (last event wins);
 * **critical path** — per study, first declare to last delivered
   point: the studies that bounded the run's wall clock.
 
@@ -37,7 +39,7 @@ from .trace import VOLATILE_FIELDS
 __all__ = ["summarize", "render_summary_text", "render_timeline", "SUMMARY_SCHEMA"]
 
 #: Schema tag of :func:`summarize` payloads.
-SUMMARY_SCHEMA = "repro-trace-summary/2"
+SUMMARY_SCHEMA = "repro-trace-summary/3"
 
 
 def _job_intervals(events):
@@ -75,9 +77,8 @@ def _mean_inflight(intervals) -> tuple[float, float]:
 def summarize(events: list[dict]) -> dict:
     """Fold one trace into the summary document (see module docstring)."""
     wall = max((e["t"] for e in events), default=0.0)
-    status = next(
-        (e["status"] for e in reversed(events) if e["ev"] == "trace_end"), None
-    )
+    end = next((e for e in reversed(events) if e["ev"] == "trace_end"), {})
+    status = end.get("status")
 
     # Per-phase wall time from span pairs (matched on sid).
     begins: dict[int, dict] = {}
@@ -208,6 +209,7 @@ def summarize(events: list[dict]) -> dict:
         "events": len(events),
         "wall_seconds": round(wall, 6),
         "status": status,
+        "error": end.get("error"),
         "phases": phases,
         "declare_by_study": declare_by_study,
         "studies": studies,
@@ -234,9 +236,10 @@ def _table(lines: list[str], header: tuple, rows: list[tuple]) -> None:
 def render_summary_text(summary: dict) -> list[str]:
     """The summary document as terminal lines (``--format text``)."""
     status = summary["status"]
+    error = f", error {summary['error']}" if summary["error"] else ""
     lines = [
         f"[trace] {summary['events']} events over "
-        f"{summary['wall_seconds']:.3f}s wall, status {status or 'unsealed'}"
+        f"{summary['wall_seconds']:.3f}s wall, status {status or 'unsealed'}{error}"
     ]
     if status != "complete":
         lines.append(

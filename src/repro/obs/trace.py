@@ -3,8 +3,8 @@
 ``--trace`` turns every layer's notable moments — study declares,
 plan dedup, job submit/complete/retry, cache hits/misses/stores,
 analytic memo serves, adaptive wave staging and convergence, table
-emission — into a stream of schema-validated events under
-``<runs-dir>/<run-id>/trace.jsonl`` (or ``--trace-file``):
+emission — into a stream of schema-validated events in
+``.repro-runs/trace.jsonl`` (or ``--trace-file``):
 
 * **point events** record one fact (``{"ev": "cache_hit", "t": 0.81,
   "key": "ab12…"}``); **span events** come in ``span_begin`` /
@@ -51,6 +51,7 @@ __all__ = [
     "NULL_TRACE",
     "TRACE_FORMAT",
     "TRACE_NAME",
+    "DEFAULT_TRACE_DIR",
     "EVENT_FIELDS",
     "VOLATILE_FIELDS",
     "ENVIRONMENT_EVENTS",
@@ -63,8 +64,11 @@ __all__ = [
 #: Current trace schema version (stamped into ``trace_start``).
 TRACE_FORMAT = 1
 
-#: Default file name of a run's trace journal, next to its manifest.
+#: File name of a trace journal inside a directory (``trace DIR`` reads it).
 TRACE_NAME = "trace.jsonl"
+
+#: Directory bare ``--trace`` writes :data:`TRACE_NAME` into.
+DEFAULT_TRACE_DIR = ".repro-runs"
 
 #: Fields whose values vary run-to-run (timing, process identity) even
 #: when the computation is identical — stripped before determinism
@@ -82,8 +86,8 @@ ENVIRONMENT_EVENTS = frozenset({"trace_start", "trace_end", "schedule", "snapsho
 #: against this table.
 EVENT_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
     # lifecycle
-    "trace_start": (frozenset({"format", "pid", "argv"}), frozenset({"run_id", "command"})),
-    "trace_end": (frozenset({"status"}), frozenset()),
+    "trace_start": (frozenset({"format", "pid", "argv"}), frozenset({"command"})),
+    "trace_end": (frozenset({"status"}), frozenset({"error"})),
     "snapshot": (frozenset({"metrics"}), frozenset()),
     # spans (declare | execute)
     "span_begin": (frozenset({"name", "sid"}), frozenset({"study", "platform", "round"})),
@@ -116,12 +120,8 @@ EVENT_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
         frozenset({"family", "wave", "converged", "active", "rows_converged"}),
         frozenset(),
     ),
-    # output and resume
+    # output
     "emit": (frozenset({"study", "tables"}), frozenset()),
-    "resume_validate": (
-        frozenset({"reused", "invalidated", "missing", "stale"}),
-        frozenset(),
-    ),
 }
 
 
@@ -162,7 +162,6 @@ class TraceWriter:
         self,
         path: str | Path,
         argv=(),
-        run_id: str | None = None,
         command: str | None = None,
         clock=time.monotonic,
     ):
@@ -178,8 +177,6 @@ class TraceWriter:
         import os
 
         start = {"format": TRACE_FORMAT, "pid": os.getpid(), "argv": list(argv)}
-        if run_id is not None:
-            start["run_id"] = run_id
         if command is not None:
             start["command"] = command
         self.event("trace_start", **start)
@@ -224,10 +221,18 @@ class TraceWriter:
                 **{**fields, **extra},
             )
 
-    def close(self, status: str = "complete") -> None:
+    def close(self, status: str = "complete", error: str | None = None) -> None:
+        """Seal the journal with ``trace_end``.
+
+        ``error`` names the exception that ended a failed run (e.g.
+        ``"SimulatedCrash"``); clean runs carry no ``error`` field.
+        """
         if self.closed:
             return
-        self.event("trace_end", status=status)
+        end = {"status": status}
+        if error is not None:
+            end["error"] = error
+        self.event("trace_end", **end)
         self.closed = True
         self._handle.close()
 
@@ -252,7 +257,7 @@ class NullTraceWriter:
     def span(self, name: str, **fields):
         yield {}
 
-    def close(self, status: str = "complete") -> None:
+    def close(self, status: str = "complete", error: str | None = None) -> None:
         pass
 
 

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the durable-run machinery.
+"""Deterministic fault injection for the evaluation pipeline.
 
 The repo reproduces a paper about surviving failures with optimal
 checkpointing; this module lets the evaluation harness *test* that it
@@ -15,17 +15,17 @@ flag ``--fault-plan`` and threaded into the
   ``BrokenProcessPool``; under a serial executor the job raises a
   :class:`TransientFault` instead (the closest in-process analogue);
 * ``crash-after=N`` — the run dies with a :class:`SimulatedCrash`
-  after the ``N``-th job completion has been delivered (manifest
-  fates for everything delivered so far are already journaled), the
-  harness for crash→resume tests;
+  after the ``N``-th job completion has been delivered (the result
+  cache already holds the record of every point delivered so far),
+  the harness for crash-then-re-run tests;
 * ``corrupt-entry=N`` — before anything runs, the ``N``-th entry of
   the result cache (sorted by key) is truncated mid-file, exercising
-  ``cache verify`` and the resume invalidation path.
+  ``cache verify`` and the torn-record-reads-as-a-miss path.
 
 Counters are plain integers — no wall clock, no RNG — so a fault plan
 replays identically on every run, which is what makes the
-crash-resume determinism tests (kill after K completions, resume, pin
-the output bytes) possible.  ``seed`` is carried for future
+crash-recovery determinism tests (kill after K completions, re-run the
+same command, pin the output bytes) possible.  ``seed`` is carried for future
 randomized plans but unused today.
 """
 
@@ -67,9 +67,9 @@ class SimulatedCrash(FaultInjected):
     """The injected analogue of ``kill -9`` on the whole run.
 
     Raised out of the scheduler loop after the configured number of
-    completions; nothing downstream of the raise runs, so whatever the
-    run manifest journaled up to that point is exactly what a resume
-    finds.
+    completions; nothing downstream of the raise runs, so the records
+    the result cache holds at that point are exactly what a re-run of
+    the same command finds.
     """
 
 

@@ -474,7 +474,7 @@ class ResultCache:
 
         ``corrupt`` pairs each bad entry with its reason.  Corrupt
         entries are *reported*, never deleted — that is the caller's
-        decision (``cache verify --delete``, or the resume validator).
+        decision (``cache verify --delete``).
         """
         ok: list[CacheEntry] = []
         corrupt: list[tuple[CacheEntry, str]] = []

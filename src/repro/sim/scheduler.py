@@ -27,7 +27,7 @@ errors that are not infrastructure (a :class:`SimulationError`, a
 ``ValueError`` from bad arguments) are never retried — retrying a
 deterministic failure only hides it.  A :class:`~repro.sim.faults.FaultPlan`
 can be attached to inject deterministic failures, worker kills and
-simulated crashes for the crash-resume tests.
+simulated crashes for the crash-recovery tests.
 
 Determinism: the sampled numbers are pure functions of the job
 arguments, and per-point merging happens in part order (never

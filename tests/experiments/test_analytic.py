@@ -220,6 +220,53 @@ class TestAnalyticMemo:
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir", str(cache)]) == 0
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p["entries"].update({next(iter(p["entries"])): ["oops"]}),
+            lambda p: p["entries"].update({next(iter(p["entries"])): [1.0] * 5}),
+            lambda p: p["entries"].update({next(iter(p["entries"])): "1,2,3"}),
+            lambda p: p["entries"].update(
+                {next(iter(p["entries"])): [1.0, 2.0, 3.0, None, 5.0, 6.0]}
+            ),
+            lambda p: p["entries"].update(
+                {next(iter(p["entries"])): [True, 2.0, 3.0, 4.0, 5.0, 6.0]}
+            ),
+            lambda p: p.update(entries=[["k", 1.0]]),
+            lambda p: p.update(served="3"),
+            lambda p: p.update(evaluated=2.5),
+        ],
+        ids=["string-entry", "short-entry", "non-list-entry", "null-numeric",
+             "bool-value", "entries-not-object", "served-not-int",
+             "evaluated-not-int"],
+    )
+    def test_malformed_memo_reads_as_miss(self, tmp_path, capsys, damage):
+        cache = tmp_path / "cache"
+        memo_path = cache / "analytic_memo.json"
+        run = ["fig2", "--no-sim", "--cache-dir", str(cache)]
+
+        def corrupt():
+            payload = json.loads(memo_path.read_text())
+            damage(payload)
+            memo_path.write_text(json.dumps(payload))
+
+        assert main(run) == 0
+        reference = capsys.readouterr().out.splitlines()[:-2]
+
+        # A re-run treats the damage as a miss and flushes a clean file.
+        corrupt()
+        assert main(["cache", "verify", "--cache-dir", str(cache)]) == 1
+        assert "[verify] malformed analytic memo" in capsys.readouterr().out
+        assert main(run) == 0
+        assert capsys.readouterr().out.splitlines()[:-2] == reference
+        assert AnalyticMemo(memo_path).verify() == []
+
+        # `cache verify --delete` drops the damage without a run.
+        corrupt()
+        assert main(["cache", "verify", "--cache-dir", str(cache), "--delete"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "verify", "--cache-dir", str(cache)]) == 0
+
 
 class TestEvaluateAnalytic:
     def test_intra_call_dedup(self):

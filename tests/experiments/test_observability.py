@@ -2,11 +2,11 @@
 
 The acceptance contract of the observability layer: table bytes are
 identical with ``--trace`` on or off; a traced run's journal schema-
-validates and its per-study tallies match the manifest's metrics
-snapshot and fates exactly; the comparable event multiset is invariant
-across serial, pooled and sharded executors; and the ``trace``
-subcommand summarizes, timelines and exports the journal.  Everything
-drives the real CLI (``main``), like the resume suite.
+validates and its per-event tallies match the metrics snapshot it
+carries; the comparable event multiset is invariant across serial,
+pooled and sharded executors; and the ``trace`` subcommand
+summarizes, timelines and exports the journal.  Everything drives the
+real CLI (``main``).
 """
 
 from __future__ import annotations
@@ -39,23 +39,29 @@ def _multiset(events, drop=ENVIRONMENT_EVENTS):
     )
 
 
-def _traced_run(tmp_path, capsys, extra=(), run_id="r1"):
-    """One journaled, traced fig5 run; returns (stdout, events, manifest)."""
+def _traced_run(tmp_path, capsys, extra=()):
+    """One cached, traced fig5 run; returns (stdout, events, trace path)."""
+    path = tmp_path / "trace.jsonl"
     args = [
         "fig5", *FAST_ARGS,
         "--cache-dir", str(tmp_path / "cache"),
-        "--runs-dir", str(tmp_path / "runs"),
-        "--run-id", run_id,
-        "--trace",
+        "--trace-file", str(path),
         *extra,
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
-    events = load_trace(tmp_path / "runs" / run_id / "trace.jsonl")
-    manifest = json.loads(
-        (tmp_path / "runs" / run_id / "manifest.json").read_text()
-    )
-    return out, events, manifest
+    return out, load_trace(path), path
+
+
+def _snapshot_points(events) -> Counter:
+    """``points{status}`` totals of the trace's final metrics snapshot."""
+    snapshots = [e for e in events if e["ev"] == "snapshot"]
+    assert len(snapshots) == 1
+    totals: Counter = Counter()
+    for row in snapshots[0]["metrics"]["metrics"]:
+        if row["name"] == "points":
+            totals[row["labels"]["status"]] += row["value"]
+    return totals
 
 
 class TestByteIdentity:
@@ -73,6 +79,15 @@ class TestByteIdentity:
         assert events[0]["ev"] == "trace_start"
         assert events[-1]["ev"] == "trace_end"
 
+    def test_bare_trace_writes_the_default_path(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig5", *FAST_ARGS, "--trace"]) == 0
+        capsys.readouterr()
+        events = load_trace(tmp_path / ".repro-runs" / "trace.jsonl")
+        assert events[-1]["ev"] == "trace_end"
+
 
 class TestRunStatus:
     def test_crashed_run_trace_ends_failed(self, tmp_path, capsys):
@@ -84,6 +99,7 @@ class TestRunStatus:
         events = load_trace(path)
         assert events[-1]["ev"] == "trace_end"
         assert events[-1]["status"] == "failed"
+        assert events[-1]["error"] == "SimulatedCrash"
 
     def test_summary_flags_failed_run(self, tmp_path, capsys):
         path = tmp_path / "crash.jsonl"
@@ -92,19 +108,24 @@ class TestRunStatus:
         capsys.readouterr()
         assert main(["trace", "summary", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "status failed" in out
+        assert "status failed, error SimulatedCrash" in out
         assert "WARNING: the run did not complete" in out
         assert main(["trace", "summary", str(path), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["status"] == "failed"
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "failed"
+        assert summary["error"] == "SimulatedCrash"
 
     def test_clean_run_summary_reports_complete(self, tmp_path, capsys):
         path = tmp_path / "ok.jsonl"
         assert main(["fig5", *FAST_ARGS, "--trace-file", str(path)]) == 0
         capsys.readouterr()
+        assert "error" not in load_trace(path)[-1]
         assert main(["trace", "summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "status complete" in out
-        assert "WARNING" not in out
+        assert "WARNING" not in out and "error" not in out
+        assert main(["trace", "summary", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["error"] is None
 
 
 class TestDeclareByStudy:
@@ -130,59 +151,14 @@ class TestDeclareByStudy:
 
 
 class TestJournalContract:
-    def test_schema_valid_and_counts_match_manifest(self, tmp_path, capsys):
-        _, events, manifest = _traced_run(tmp_path, capsys)
-        # load_trace already schema-validated every event.  The point
-        # events must reproduce the manifest's journaled fates exactly.
-        fate_by_key = {}
-        for event in events:
-            if event["ev"] == "point" and event["key"] is not None:
-                fate_by_key[event["key"]] = event["status"]
-        assert fate_by_key == manifest["fates"]
-        # ... and the metrics snapshot's per-study counters must match
-        # the per-event tallies.
-        tallies: Counter = Counter()
-        for event in events:
-            if event["ev"] == "point":
-                tallies[event["status"]] += 1
-        for row in manifest["metrics"]["metrics"]:
-            if row["name"] == "points":
-                assert row["value"] == tallies[row["labels"]["status"]]
-
-    def test_snapshot_rides_trace_and_manifest_alike(self, tmp_path, capsys):
-        _, events, manifest = _traced_run(tmp_path, capsys)
-        snapshots = [e for e in events if e["ev"] == "snapshot"]
-        assert len(snapshots) == 1
-        trace_points = [
-            row for row in snapshots[0]["metrics"]["metrics"]
-            if row["name"] == "points"
-        ]
-        manifest_points = [
-            row for row in manifest["metrics"]["metrics"]
-            if row["name"] == "points"
-        ]
-        assert trace_points == manifest_points
-
-    def test_execution_flags_keep_resume_valid(self, tmp_path, capsys):
-        # --trace is execution-only: a resume of an untraced run with
-        # tracing on must validate (config hash ignores it) and reuse
-        # every point.
-        args = [
-            "fig5", *FAST_ARGS,
-            "--cache-dir", str(tmp_path / "cache"),
-            "--runs-dir", str(tmp_path / "runs"),
-            "--run-id", "r1",
-        ]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args + ["--resume", "--trace"]) == 0
-        err = capsys.readouterr().err
-        manifest = json.loads(
-            (tmp_path / "runs" / "r1" / "manifest.json").read_text()
-        )
-        assert manifest["recomputed"] == 0
-        assert manifest["reused"] == len(manifest["fates"])
-        assert "[resume] round delivered:" in err
+    def test_schema_valid_and_counts_match_snapshot(self, tmp_path, capsys):
+        _, events, _ = _traced_run(tmp_path, capsys)
+        # load_trace already schema-validated every event.  The metrics
+        # snapshot rides the trace once, just before it is sealed, and
+        # its points{status} totals match the per-event tallies.
+        assert [e["ev"] for e in events[-2:]] == ["snapshot", "trace_end"]
+        tallies = Counter(e["status"] for e in events if e["ev"] == "point")
+        assert tallies and _snapshot_points(events) == tallies
 
 
 class TestDeterminism:
@@ -226,50 +202,47 @@ class TestTraceCli:
         return tmp_path
 
     def test_summary_text(self, run, capsys):
-        assert main(["trace", "summary", "r1",
-                     "--runs-dir", str(run / "runs")]) == 0
+        assert main(["trace", "summary", str(run / "trace.jsonl")]) == 0
         out = capsys.readouterr().out
         for section in ("[trace]", "[phases]", "[scheduler]", "[studies]",
                         "[fates]", "[cache]"):
             assert section in out
         assert "occupancy" in out
 
-    def test_summary_json_matches_manifest_fates(self, run, capsys):
-        assert main(["trace", "summary", "r1",
-                     "--runs-dir", str(run / "runs"), "--format", "json"]) == 0
+    def test_summary_json_matches_snapshot(self, run, capsys):
+        trace_file = run / "trace.jsonl"
+        assert main(["trace", "summary", str(trace_file), "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        manifest = json.loads((run / "runs" / "r1" / "manifest.json").read_text())
-        assert summary["fates"] == dict(
-            Counter(manifest["fates"].values()),
-            **{s: 0 for s in ("computed", "served", "skipped")
-               if s not in set(manifest["fates"].values())},
-        )
+        events = load_trace(trace_file)
+        statuses = ("computed", "served", "skipped")
+        per_study = Counter()
+        for entry in summary["studies"].values():
+            per_study.update({s: entry[s] for s in statuses})
+        assert +per_study == _snapshot_points(events)
+        fates = Counter({e["key"]: e["status"] for e in events
+                         if e["ev"] == "point" and e["key"] is not None}.values())
+        assert summary["fates"] == {s: fates[s] for s in statuses}
 
-    def test_target_resolution_file_dir_and_id(self, run, capsys):
-        trace_file = run / "runs" / "r1" / "trace.jsonl"
-        for target, extra in (
-            (str(trace_file), []),
-            (str(trace_file.parent), []),
-            ("r1", ["--runs-dir", str(run / "runs")]),
-        ):
-            assert main(["trace", "summary", target, *extra]) == 0
+    def test_target_resolution_file_and_dir(self, run, capsys):
+        trace_file = run / "trace.jsonl"
+        for target in (trace_file, run):
+            assert main(["trace", "summary", str(target)]) == 0
             capsys.readouterr()
 
     def test_unknown_target_fails_with_hint(self, tmp_path):
         with pytest.raises(SystemExit, match="no trace found"):
-            main(["trace", "summary", "nope",
-                  "--runs-dir", str(tmp_path / "runs")])
+            main(["trace", "summary", str(tmp_path / "nope")])
 
     def test_timeline_limit(self, run, capsys):
-        assert main(["trace", "timeline", "r1",
-                     "--runs-dir", str(run / "runs"), "--limit", "5"]) == 0
+        assert main(["trace", "timeline", str(run / "trace.jsonl"),
+                     "--limit", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
         assert lines[-1].startswith("... ")
         assert "trace_start" in lines[0]
 
     def test_export_round_trips(self, run, capsys):
-        trace_file = run / "runs" / "r1" / "trace.jsonl"
+        trace_file = run / "trace.jsonl"
         original = load_trace(trace_file)
         assert main(["trace", "export", str(trace_file)]) == 0
         jsonl = capsys.readouterr().out

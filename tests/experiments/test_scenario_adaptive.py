@@ -1,13 +1,13 @@
-"""Adaptive replicate scheduling: convergence, determinism, resume.
+"""Adaptive replicate scheduling: convergence, determinism, persistence.
 
 The acceptance contract of the adaptive engine: an adaptive scenario
 report is **byte-identical** across serial, pooled and scheduled
 execution (pinned against ``goldens/scenario_fig5_adaptive_bands.txt``),
 ``run --out`` followed by ``aggregate`` reproduces the exact band
-tables from disk, a run killed mid-flight resumes to the identical
-output with zero recomputation and the journaled stopping decisions
-reused — and the fixed path (no ``--adaptive``) stays byte-identical
-to the PR 5 goldens, which ``test_scenario_lab`` pins.
+tables from disk, and the fixed path (no ``--adaptive``) stays
+byte-identical to the fixed-path goldens, which ``test_scenario_lab`` pins.
+A crashed adaptive run re-run on its cache is pinned by
+``test_fault_recovery``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import InvalidParameterError, ReproError
+from repro.exceptions import InvalidParameterError
 from repro.experiments.common import FigureResult
 from repro.experiments.runner import main
 from repro.experiments.scenarios import (
@@ -35,7 +35,6 @@ from repro.experiments.scenarios import (
     aggregate_results,
 )
 from repro.experiments.scenarios.transforms import Jitter
-from repro.sim.faults import CRASH_EXIT_CODE
 
 GOLDEN = Path(__file__).parent / "goldens" / "scenario_fig5_adaptive_bands.txt"
 EXAMPLE = Path(__file__).parents[2] / "examples" / "scenario_jitter.toml"
@@ -357,95 +356,6 @@ class TestAdaptiveCli:
         with pytest.raises(SystemExit, match="min replicates"):
             main(["scenario", "report", str(EXAMPLE), "--adaptive", *FAST_ARGS,
                   "--min-replicates", "0"])
-
-
-# -- crash -> resume: replayed decisions, zero duplicate work ----------------
-
-
-def _manifest(runs_dir, run_id) -> dict:
-    return json.loads((runs_dir / run_id / "manifest.json").read_text())
-
-
-def _out_snapshot(out: Path) -> dict[str, str]:
-    return {p.name: p.read_text() for p in sorted(out.glob("*.json"))}
-
-
-class TestAdaptiveResume:
-    def _args(self, tmp_path, out, run_id="a1"):
-        return [
-            "scenario", "run", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-            "--out", str(out),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--runs-dir", str(tmp_path / "runs"),
-            "--run-id", run_id,
-        ]
-
-    @pytest.mark.parametrize("crash_after", [40, 500])
-    def test_crash_resume_replays_journaled_decisions(
-        self, tmp_path, capsys, crash_after
-    ):
-        # Uninterrupted reference run (separate cache: no cross-talk).
-        reference = tmp_path / "ref"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-             "--out", str(reference),
-             "--cache-dir", str(tmp_path / "refcache")]
-        ) == 0
-        capsys.readouterr()
-
-        out = tmp_path / "out"
-        args = self._args(tmp_path, out)
-        assert main(
-            args + ["--fault-plan", f"crash-after={crash_after}"]
-        ) == CRASH_EXIT_CODE
-        journaled = _manifest(tmp_path / "runs", "a1")
-        assert journaled["status"] == "running"
-        assert journaled["adaptive"]["policy"] == AdaptivePolicy().to_dict()
-        capsys.readouterr()
-
-        assert main(args + ["--resume"]) == 0
-        capsys.readouterr()
-        manifest = _manifest(tmp_path / "runs", "a1")
-        assert manifest["status"] == "complete"
-        # Zero duplicate work: every point computed before the crash is
-        # reused, and the journaled stopping decisions are replayed.
-        assert manifest["recomputed"] == 0
-        assert manifest["reused"] == len(
-            [k for k, fate in journaled["fates"].items() if fate == "computed"]
-        )
-        family = manifest["adaptive"]["families"]["fig5_jitter[Hera]"]
-        assert family["summary"]["rows_converged"] == family["summary"]["n_rows"]
-        # Journaled waves survive the resume as a strict prefix.
-        pre_crash = journaled["adaptive"]["families"]["fig5_jitter[Hera]"]
-        assert family["waves"][: len(pre_crash["waves"])] == pre_crash["waves"]
-        # The resumed output is byte-identical to the uninterrupted run.
-        assert _out_snapshot(out) == _out_snapshot(reference)
-
-    def test_policy_change_on_resume_refuses(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        args = self._args(tmp_path, out)
-        assert main(args + ["--fault-plan", "crash-after=40"]) \
-            == CRASH_EXIT_CODE
-        capsys.readouterr()
-        with pytest.raises(SystemExit, match="adaptive journal mismatch"):
-            main(args + ["--resume", "--band-tol", "0.2"])
-
-    def test_tampered_journal_refuses(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        args = self._args(tmp_path, out)
-        assert main(args + ["--fault-plan", "crash-after=500"]) \
-            == CRASH_EXIT_CODE
-        capsys.readouterr()
-        path = tmp_path / "runs" / "a1" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        waves = manifest["adaptive"]["families"]["fig5_jitter[Hera]"]["waves"]
-        assert len(waves) > 1, "crash point must land past wave 0"
-        waves[-1]["rows"] = [0]  # not the decision the data derives
-        path.write_text(json.dumps(manifest))
-        # Detected mid-resolve, once the replayed wave folds: the data
-        # and the journal no longer describe the same run.
-        with pytest.raises(ReproError, match="adaptive journal mismatch"):
-            main(args + ["--resume"])
 
 
 # -- engine-level invariants -------------------------------------------------

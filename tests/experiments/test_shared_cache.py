@@ -1,4 +1,4 @@
-"""Several CLI runs sharing one cache directory and one runs directory.
+"""Several CLI runs sharing one cache directory.
 
 A shared ``--cache-dir`` is a supported setup (work-stealing shards,
 parallel CI jobs).  Four processes started at once — three identical
@@ -54,17 +54,16 @@ def test_concurrent_runs_share_one_cache(tmp_path, capsys):
     solo_fig2 = _solo("fig2", tmp_path / "solo2", capsys)
     _solo("fig4", tmp_path / "solo4", capsys)
 
-    cache, runs = tmp_path / "shared", tmp_path / "runs"
+    cache = tmp_path / "shared"
     studies = ["fig2", "fig2", "fig2", "fig4"]
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", study, *FAST_ARGS,
-             "--cache-dir", str(cache), "--runs-dir", str(runs),
-             "--run-id", f"run{i}"],
+             "--cache-dir", str(cache)],
             env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
-        for i, study in enumerate(studies)
+        for study in studies
     ]
     outputs = [proc.communicate(timeout=300) for proc in procs]
     assert [proc.returncode for proc in procs] == [0] * 4, [e for _, e in outputs]
@@ -84,6 +83,3 @@ def test_concurrent_runs_share_one_cache(tmp_path, capsys):
     assert _memo_keys(cache) == _memo_keys(tmp_path / "solo2") | _memo_keys(
         tmp_path / "solo4"
     )
-    for i in range(4):
-        manifest = json.loads((runs / f"run{i}" / "manifest.json").read_text())
-        assert manifest["status"] == "complete"

@@ -28,14 +28,13 @@ def trace_path(tmp_path):
 
 class TestWriter:
     def test_header_and_end(self, trace_path):
-        writer = TraceWriter(trace_path, argv=["fig5", "--trace"], run_id="r1",
-                             command="fig5")
+        writer = TraceWriter(trace_path, argv=["fig5", "--trace"], command="fig5")
         writer.close()
         events = load_trace(trace_path)
         assert events[0]["ev"] == "trace_start"
         assert events[0]["format"] == TRACE_FORMAT
         assert events[0]["argv"] == ["fig5", "--trace"]
-        assert events[0]["run_id"] == "r1"
+        assert events[0]["command"] == "fig5"
         assert events[-1] == {
             "ev": "trace_end", "status": "complete", "t": events[-1]["t"],
         }

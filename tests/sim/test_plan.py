@@ -60,7 +60,7 @@ class TestRequestKey:
         assert len(keys) == len(variants) + 1
 
     def test_pinned_digests(self):
-        # Users' caches and run manifests are addressed by these hex
+        # Users' result caches are addressed by these hex
         # digests: a change here silently invalidates every stored
         # entry, so it must come with a BACKEND_VERSION bump instead.
         from repro.experiments.ext_weibull import _renewal_overhead
