@@ -151,14 +151,24 @@ class TestDeclareByStudy:
 
 
 class TestJournalContract:
-    def test_schema_valid_and_counts_match_snapshot(self, tmp_path, capsys):
+    def test_schema_valid_counts_match_snapshot(self, tmp_path, capsys):
         _, events, _ = _traced_run(tmp_path, capsys)
         # load_trace already schema-validated every event.  The metrics
-        # snapshot rides the trace once, just before it is sealed, and
-        # its points{status} totals match the per-event tallies.
-        assert [e["ev"] for e in events[-2:]] == ["snapshot", "trace_end"]
+        # snapshot's points{status} totals match the per-event tallies.
         tallies = Counter(e["status"] for e in events if e["ev"] == "point")
         assert tallies and _snapshot_points(events) == tallies
+
+    def test_snapshot_rides_trace_once(self, tmp_path, capsys):
+        _, events, _ = _traced_run(tmp_path, capsys)
+        # Exactly one metrics snapshot, written just before the trace is
+        # sealed, and it carries the points counters.
+        snapshots = [e for e in events if e["ev"] == "snapshot"]
+        assert len(snapshots) == 1
+        assert [e["ev"] for e in events[-2:]] == ["snapshot", "trace_end"]
+        assert any(
+            row["name"] == "points"
+            for row in snapshots[0]["metrics"]["metrics"]
+        )
 
 
 class TestDeterminism:
