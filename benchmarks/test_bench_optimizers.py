@@ -1,6 +1,6 @@
 """Ablations of the optimisation stack.
 
-* nested log-zoom allocation search vs the Jin-et-al alternating
+* joint log-zoom allocation search vs the Jin-et-al alternating
   relaxation (same optimum, different costs);
 * vectorised batch period optimisation vs a scalar loop;
 * log-space zoom vs a naive linear scan over the processor range.
@@ -30,7 +30,7 @@ def test_nested_allocation_search(benchmark, model):
 def test_relaxation_baseline(benchmark, model):
     result = benchmark(lambda: relaxation_optimize(model))
     assert result.converged
-    # Same optimum as the nested search (checked tightly in tests/).
+    # Same optimum as the joint search (checked tightly in tests/).
     nested = optimize_allocation(model)
     assert abs(result.overhead - nested.overhead) / nested.overhead < 1e-5
 

@@ -18,21 +18,33 @@ measured gain is ~3x memo x ~4x batch).  The workload is pure
 single-process compute, so the bench is 1-CPU-safe: the gain measures
 vectorization and dedup, not parallelism.  An exact assertion pins the
 emitted tables of both modes byte-identical — the engine trades only
-time, never bits.  Every measurement lands in ``BENCH_optimum.json``
+time, never bits.
+
+A count gate bounds the engine's work independently of the clock: over
+the analytic columns of ``all --paper``, each
+:func:`~repro.experiments.analytic.evaluate_analytic` call may make at
+most ``OVERHEAD_CALL_BUDGET`` broadcast ``PatternModel.overhead`` calls
+(one per joint-zoom round), and none at all when the memo serves every
+model of the call.  Every measurement lands in ``BENCH_optimum.json``
 (path overridable via ``REPRO_BENCH_OPTIMUM_JSON``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import os
 import time
 
 import pytest
 
+import repro.experiments.pipeline as pipeline_module
+from repro.core.pattern import PatternModel
 from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
+from repro.experiments.runner import main
 from repro.experiments.scenarios import Resample, ScenarioSet
 from repro.experiments.spec import pattern_point, run_study
 
@@ -42,6 +54,10 @@ from repro.experiments.spec import pattern_point, run_study
 OPTIMUM_FLOOR = float(os.environ.get("REPRO_BENCH_OPTIMUM_FLOOR", "5.0"))
 
 REPLICATES = 3
+
+#: Overhead calls one evaluate_analytic call may make (the joint zoom
+#: converges in 13 rounds on the paper's columns).
+OVERHEAD_CALL_BUDGET = 20
 
 #: Analytic columns only: the bench times the optimisers, not sampling.
 SETTINGS = SimSettings(simulate=False)
@@ -136,4 +152,44 @@ def test_single_study_engine_gain():
     print(
         f"\n  single fig5 grid: scalar {t_scalar * 1e3:.0f} ms, "
         f"batched {t_batch * 1e3:.0f} ms, gain {t_scalar / t_batch:.2f}x"
+    )
+
+
+def test_overhead_calls_per_analytic_call(monkeypatch):
+    """Count gate: <= budget overhead calls per call, 0 when memo-served."""
+    overhead_calls = 0
+    real_overhead = PatternModel.overhead
+
+    def counting_overhead(self, T, P):
+        nonlocal overhead_calls
+        overhead_calls += 1
+        return real_overhead(self, T, P)
+
+    real_evaluate = pipeline_module.evaluate_analytic
+    log: list[tuple[int, int, int]] = []
+
+    def logging_evaluate(models, memo=None):
+        before = overhead_calls
+        points, evaluated, served = real_evaluate(models, memo)
+        log.append((evaluated, served, overhead_calls - before))
+        return points, evaluated, served
+
+    monkeypatch.setattr(PatternModel, "overhead", counting_overhead)
+    monkeypatch.setattr(pipeline_module, "evaluate_analytic", logging_evaluate)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["all", "--paper", "--no-sim", "--no-cache"]) == 0
+
+    assert sum(evaluated for evaluated, _, _ in log) == 93
+    served_only = [calls for evaluated, _, calls in log if evaluated == 0]
+    computing = [calls for evaluated, _, calls in log if evaluated > 0]
+    assert served_only, "expected memo-served analytic columns in all --paper"
+    assert served_only == [0] * len(served_only)
+    assert max(computing) <= OVERHEAD_CALL_BUDGET, log
+    RESULTS["analytic_calls"] = len(log)
+    RESULTS["analytic_calls_memo_served"] = len(served_only)
+    RESULTS["max_overhead_calls_per_analytic_call"] = max(computing)
+    print(
+        f"\n  all --paper analytic: {len(log)} calls ({len(served_only)} "
+        f"memo-served), at most {max(computing)} overhead calls per call "
+        f"(budget {OVERHEAD_CALL_BUDGET})"
     )

@@ -2,12 +2,14 @@
 
 The declare phase of every default-evaluator study spends nearly all of
 its time on the *analytic* columns: a first-order closed form plus a
-numerical ``(T, P)`` optimisation per grid cell, ~20 ms each and run
-one cell at a time.  This module turns that pass into two array sweeps
-— :func:`repro.core.first_order.optimal_pattern_batch` for the closed
+numerical ``(T, P)`` optimisation per grid cell.  This module turns
+that pass into two array sweeps —
+:func:`repro.core.first_order.optimal_pattern_batch` for the closed
 forms and :func:`repro.optimize.allocation.optimize_allocation_batch`
-for the numerical optima — so a whole study column resolves per
-broadcast round, bit-identical to the scalar evaluators.
+for the numerical optima, whose joint ``(P, T)`` zoom evaluates one
+broadcast overhead grid per round for the whole column — so a study
+column resolves in 13 overhead calls on the paper's models,
+bit-identical to the scalar evaluators.
 
 On top sits :class:`AnalyticMemo`: scenario families re-run the same
 study with jittered *simulation* settings, so their analytic cells are
@@ -50,8 +52,9 @@ __all__ = [
 ]
 
 #: Bump when the optimisers' numerics change: persisted memo entries
-#: from another version are discarded wholesale on load.
-ANALYTIC_VERSION = 1
+#: from another version are discarded wholesale on load.  Version 2:
+#: the joint ``(ln P, ln T/T_YD(P))`` zoom replaced the nested search.
+ANALYTIC_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -316,7 +319,8 @@ def evaluate_analytic(
                 continue
         todo.setdefault(key, []).append(j)
     groups = list(todo.items())
-    fresh = _evaluate_models([models[idxs[0]] for _, idxs in groups])
+    # A fully memo-served column never enters the engine.
+    fresh = _evaluate_models([models[idxs[0]] for _, idxs in groups]) if groups else []
     for (key, idxs), point in zip(groups, fresh):
         evaluated += 1
         served += len(idxs) - 1

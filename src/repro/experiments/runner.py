@@ -36,7 +36,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..exceptions import InvalidParameterError, ReproError
+from ..exceptions import InvalidParameterError, OptimizationError, ReproError
 from ..io.stream import StreamingEmitter
 from ..io.tables import render_table
 from ..platforms.catalog import PLATFORM_NAMES, PLATFORMS
@@ -1228,8 +1228,9 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
         try:
             # Staging builds every member's perturbed models; a jitter
             # draw can leave the model's domain (e.g. an additive draw
-            # pushing lambda_ind negative) — fail with the message, not
-            # a traceback.
+            # pushing lambda_ind negative, or so high that the overhead
+            # has no finite optimum) — fail with the message, not a
+            # traceback.
             if policy is not None:
                 run = AdaptiveRun(
                     sset, policy, pipeline, settings, progress=args.progress
@@ -1241,7 +1242,7 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
                 staged = [
                     stage for family in families for stage in family.staged
                 ]
-        except InvalidParameterError as exc:
+        except (InvalidParameterError, OptimizationError) as exc:
             raise SystemExit(f"{args.file}: {exc}") from None
         if args.dry_run:
             # Adaptive dry runs preview wave 0 only: later waves are

@@ -24,12 +24,7 @@ from .grid import (
     refine_log_minimum,
     refine_log_minimum_batch,
 )
-from .period import (
-    PeriodResult,
-    optimize_period,
-    optimize_period_batch,
-    optimize_period_batch_grouped,
-)
+from .period import PeriodResult, optimize_period, optimize_period_batch
 from .relaxation import RelaxationResult, relaxation_optimize
 from .scalar import ScalarResult, bracket_minimum, brent, golden_section, minimize_scalar
 
@@ -47,7 +42,6 @@ __all__ = [
     "PeriodResult",
     "optimize_period",
     "optimize_period_batch",
-    "optimize_period_batch_grouped",
     "AllocationResult",
     "optimize_allocation",
     "optimize_allocation_batch",

@@ -19,12 +19,14 @@ detects via the boundary flags).
 once (one objective call per round evaluates a ``(points, columns)``
 matrix) with per-column convergence masking, so every log-zoom in the
 package — the scalar :func:`refine_log_minimum`, the relaxation
-baseline's allocation half-step, and the outer loop of
-:func:`repro.optimize.allocation.optimize_allocation_batch` — shares one
-code path.  Per column the iteration order, break condition and best-so-
-far tracking replicate the historical scalar loop exactly, and numpy's
-elementwise kernels are value-deterministic regardless of array width,
-so batched columns are bit-identical to one-at-a-time solves.
+baseline's allocation half-step and the two-level segment search of
+:mod:`repro.extensions.twolevel` — shares one code path.  Per column
+the iteration order, break condition and best-so-far tracking
+replicate the historical scalar loop exactly, and numpy's elementwise
+kernels are value-deterministic regardless of array width, so batched
+columns are bit-identical to one-at-a-time solves.  The joint
+``(T, P)`` optimum zooms a 2-D box instead (same masking, see
+:mod:`repro.optimize.allocation`).
 """
 
 from __future__ import annotations
@@ -82,11 +84,6 @@ class BatchGridResult:
     ----------
     x, fun:
         Per-column argmin estimates and objective values.
-    aux:
-        Per-column auxiliary payload captured at each column's best
-        point (``None`` unless the objective returned one) — the batch
-        allocation optimiser threads the inner optimal period through
-        this channel instead of re-solving it at the end.
     nfev:
         Per-column objective evaluations (``points`` per executed round).
     rounds:
@@ -97,7 +94,6 @@ class BatchGridResult:
 
     x: np.ndarray
     fun: np.ndarray
-    aux: np.ndarray | None
     nfev: np.ndarray
     rounds: np.ndarray
     at_lower: np.ndarray
@@ -126,7 +122,6 @@ def refine_log_minimum_batch(
     rtol: float = 1e-10,
     init_x=None,
     require_finite: bool = True,
-    track_aux: bool = False,
 ) -> BatchGridResult:
     """Minimise a column-vectorised objective over per-column intervals.
 
@@ -135,11 +130,10 @@ def refine_log_minimum_batch(
     f:
         Objective ``f(xs, idx)`` where ``xs`` is a ``(points, k)``
         abscissa matrix for the ``k`` still-active columns and ``idx``
-        their original column indices; returns a matching value matrix
-        (or a ``(values, aux)`` pair when ``track_aux``).  Non-finite
-        values are treated as ``+inf``.  Converged columns are dropped
-        from subsequent calls, so expensive objectives never waste work
-        on frozen columns.
+        their original column indices; returns a matching value matrix.
+        Non-finite values are treated as ``+inf``.  Converged columns
+        are dropped from subsequent calls, so expensive objectives never
+        waste work on frozen columns.
     lo, hi:
         Per-column search intervals (scalars broadcast to all columns).
     init_x:
@@ -153,9 +147,6 @@ def refine_log_minimum_batch(
         evaluates non-finite everywhere (the scalar
         :func:`refine_log_minimum` contract); with it off such columns
         keep zooming and fall back to ``init_x``.
-    track_aux:
-        Capture the objective's auxiliary payload at each column's
-        best-so-far point.
 
     Returns
     -------
@@ -180,7 +171,6 @@ def refine_log_minimum_batch(
         best_x = best_x.copy()
     orig_lo, orig_hi = lo.copy(), hi.copy()
     best_f = np.full(n, np.inf)
-    best_aux = np.full(n, np.nan) if track_aux else None
     nfev = np.zeros(n, dtype=int)
     executed = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
@@ -189,9 +179,8 @@ def refine_log_minimum_batch(
         if idx.size == 0:
             break
         xs = log_grid(lo[idx], hi[idx], points)
-        out = f(xs, idx)
-        fs, aux = out if track_aux else (out, None)
-        fs = np.where(np.isfinite(np.asarray(fs, dtype=float)), fs, np.inf)
+        fs = np.asarray(f(xs, idx), dtype=float)
+        fs = np.where(np.isfinite(fs), fs, np.inf)
         nfev[idx] += points
         executed[idx] += 1
         finite_cols = np.any(np.isfinite(fs), axis=0)
@@ -204,8 +193,6 @@ def refine_log_minimum_batch(
         upd = idx[better]
         best_f[upd] = round_best[better]
         best_x[upd] = xs[i[better], cols[better]]
-        if track_aux:
-            best_aux[upd] = np.asarray(aux)[i[better], cols[better]]
         # Zoom between the neighbours of each column's best grid point.
         lo_i = xs[np.maximum(i - 1, 0), cols]
         hi_i = xs[np.minimum(i + 1, points - 1), cols]
@@ -217,7 +204,6 @@ def refine_log_minimum_batch(
     return BatchGridResult(
         x=best_x,
         fun=best_f,
-        aux=best_aux,
         nfev=nfev,
         rounds=executed,
         at_lower=best_x / orig_lo < edge_tol,

@@ -8,10 +8,13 @@ smooth and strictly unimodal in ``T`` — it blows up as
 for large ``T`` — so a log-space zoom plus a Brent polish converges to
 machine precision in a few dozen evaluations.
 
-A vectorised variant optimises the period for a whole *array* of
-processor counts at once (all rounds evaluate a 2-D ``(T, P)`` grid in a
-single broadcast call), which is the hot path of the allocation
-optimiser and the figure sweeps.
+The scalar solver serves the sensitivity analysis, the relaxation
+baseline and integer rounding of the joint optimum.  A vectorised
+variant optimises the period for a whole *array* of processor counts at
+once (all rounds evaluate a 2-D ``(T, P)`` grid in a single broadcast
+call) for the fixed-``P`` sweeps of Figure 3 and the weak-scaling
+study.  The joint ``(T, P)`` optimum has its own zoom in
+:mod:`repro.optimize.allocation`.
 """
 
 from __future__ import annotations
@@ -21,16 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.first_order import optimal_period
-from ..core.pattern import PatternModel, stack_models
+from ..core.pattern import PatternModel
 from ..exceptions import OptimizationError
 from .scalar import minimize_scalar
 
-__all__ = [
-    "PeriodResult",
-    "optimize_period",
-    "optimize_period_batch",
-    "optimize_period_batch_grouped",
-]
+__all__ = ["PeriodResult", "optimize_period", "optimize_period_batch"]
 
 #: Log-width of the initial search window around the first-order seed.
 _SEED_DECADES = 3.0
@@ -145,131 +143,6 @@ def _zoom_batch(
     return T_opt, H_opt
 
 
-def _zoom_batch_grouped(
-    model: PatternModel,
-    P: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    points: int,
-    rounds: int,
-    starts: np.ndarray,
-    group_of: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_zoom_batch` with one break decision per column *group*.
-
-    Each group's columns share the break condition their own scalar
-    :func:`_zoom_batch` call would use (max bracket ratio over the
-    group's columns only), so a slow-converging group never forces extra
-    rounds on an already-converged one.  Converged groups keep their
-    brackets frozen; per column the evaluated abscissae, bracket updates
-    and break round are bit-identical to a per-group scalar call.
-    """
-    rows = np.arange(points)[:, None]
-    cols = np.arange(P.size)
-    active = np.ones(starts.size, dtype=bool)
-    col_active = np.ones(P.size, dtype=bool)
-    for _ in range(rounds):
-        ratio = hi / lo
-        Ts = lo[None, :] * ratio[None, :] ** (rows / (points - 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            Hs = np.asarray(model.overhead(Ts, P[None, :]), dtype=float)
-        Hs = np.where(np.isfinite(Hs), Hs, np.inf)
-        best = np.argmin(Hs, axis=0)
-        lo = np.where(col_active, Ts[np.maximum(best - 1, 0), cols], lo)
-        hi = np.where(col_active, Ts[np.minimum(best + 1, points - 1), cols], hi)
-        group_max = np.maximum.reduceat(hi / lo, starts)
-        active &= ~(group_max - 1.0 < 1e-11)
-        if not active.any():
-            break
-        col_active = active[group_of]
-    T_opt = np.sqrt(lo * hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H_opt = np.asarray(model.overhead(T_opt, P), dtype=float)
-    H_opt = np.where(np.isfinite(H_opt), H_opt, np.inf)
-    return T_opt, H_opt
-
-
-def optimize_period_batch_grouped(
-    models,
-    P: np.ndarray,
-    sizes,
-    points: int = 17,
-    rounds: int = 14,
-    seed_decades: float = _SEED_DECADES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Period optimisation for several models' ``P`` columns in one sweep.
-
-    ``models`` is a list of scalar-parameter models; model ``g`` owns the
-    next ``sizes[g]`` entries of the flat ``P`` array (contiguous,
-    model-major layout).  All models are fused into one array-parameter
-    model via :func:`repro.core.pattern.stack_models` so every zoom round
-    is a single broadcast ``(points, sum(sizes))`` overhead evaluation —
-    this is what lets the allocation optimiser resolve a whole grid
-    column of models per round instead of looping model by model.
-
-    Per column the result is bit-identical to
-    ``optimize_period_batch(models[g], P[block_g])``: the overhead
-    evaluators are elementwise, the zoom brackets never interact across
-    columns, and each group breaks on its own columns' joint tolerance.
-
-    Returns
-    -------
-    (T_opt, H_opt):
-        Flat arrays aligned with ``P``.
-    """
-    P = np.asarray(P, dtype=float)
-    sizes = np.asarray(sizes, dtype=int)
-    if P.ndim != 1 or P.size == 0:
-        raise OptimizationError("P must be a non-empty 1-D array")
-    if sizes.size != len(models) or np.any(sizes < 1) or sizes.sum() != P.size:
-        raise OptimizationError(
-            f"group sizes {sizes!r} do not partition {P.size} columns "
-            f"over {len(models)} models"
-        )
-    # A single group needs no stacking: use the model as-is, which also
-    # keeps exotic (non-stackable) speedup profiles working.
-    stacked = models[0] if len(models) == 1 else stack_models(models, repeat=sizes)
-    lam_eff = stacked.errors.fail_stop_rate(P) / 2.0 + stacked.errors.silent_rate(P)
-    if np.any(lam_eff <= 0.0):
-        raise OptimizationError("error-free platform: optimal period unbounded")
-    T0 = np.asarray(optimal_period(P, stacked.errors, stacked.costs), dtype=float)
-    lo = T0 * 10.0**-seed_decades
-    hi = T0 * 10.0**seed_decades
-
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    group_of = np.repeat(np.arange(len(models)), sizes)
-    T_opt, H_opt = _zoom_batch_grouped(
-        stacked, P, lo, hi, points, rounds, starts, group_of
-    )
-    pinned = ((T_opt / lo < 1.001) | (hi / T_opt < 1.001)) & np.isfinite(H_opt)
-    if np.any(pinned):
-        # Widen and re-zoom pinned columns per owning model, exactly as
-        # the ungrouped path does (the widened re-zoom is rare and
-        # small, so scalar-model calls are fine here).
-        T_opt = T_opt.copy()
-        H_opt = H_opt.copy()
-        for g, member in enumerate(models):
-            idx = np.flatnonzero(pinned & (group_of == g))
-            if idx.size == 0:
-                continue
-            lo_w = lo[idx] * 1e-3
-            hi_w = hi[idx] * 1e3
-            T_wide, H_wide = _zoom_batch(member, P[idx], lo_w, hi_w, points, rounds)
-            T_opt[idx] = T_wide
-            H_opt[idx] = H_wide
-            still = ((T_wide / lo_w < 1.001) | (hi_w / T_wide < 1.001)) & np.isfinite(
-                H_wide
-            )
-            if np.any(still):
-                bad = P[idx][still]
-                raise OptimizationError(
-                    f"optimal period not interior to the widened bracket for "
-                    f"P={np.array2string(bad, max_line_width=60)}; the overhead "
-                    "appears monotone in T"
-                )
-    return T_opt, H_opt
-
-
 def optimize_period_batch(
     model: PatternModel,
     P: np.ndarray,
@@ -311,8 +184,8 @@ def optimize_period_batch(
 
     T_opt, H_opt = _zoom_batch(model, P, lo, hi, points, rounds)
     # Columns whose overhead overflows everywhere legitimately report
-    # +inf (the outer allocation search discards them); only a *finite*
-    # optimum sitting on a bracket edge means the seed window was off.
+    # +inf; only a *finite* optimum sitting on a bracket edge means the
+    # seed window was off.
     pinned = ((T_opt / lo < 1.001) | (hi / T_opt < 1.001)) & np.isfinite(H_opt)
     if np.any(pinned):
         # The seed window missed the optimum for some columns; widen

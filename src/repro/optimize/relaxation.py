@@ -6,11 +6,11 @@ choosing the resource count of a fault-tolerant run: alternate between
 (ii) the optimal allocation for the current period, until a fixed point.
 We implement that procedure against our exact overhead objective so the
 benchmark harness can compare its convergence behaviour and result
-quality with the direct nested optimiser
+quality with the direct joint optimiser
 (:mod:`repro.optimize.allocation`) and the closed forms of Theorems 2-3.
 
 On a unimodal objective the relaxation converges to the same optimum;
-its interest is as an ablation (iterations vs. nested-search cost) and
+its interest is as an ablation (iterations vs. joint-search cost) and
 as a faithful reproduction of the related-work method.
 """
 

@@ -144,6 +144,23 @@ class TestAnalyticMemo:
         assert len(memo) == 0
         assert memo.lookups == 0
 
+    def test_version_1_memo_serves_nothing(self, tmp_path):
+        # Entries written by the nested search (version 1) must not be
+        # served once the joint zoom changed the optimum's last bits.
+        model = build_model("Hera", 1)
+        path = tmp_path / "analytic_memo.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "served": 5, "evaluated": 7,
+            "entries": {model_key(model): self.point().as_list()},
+        }))
+        memo = AnalyticMemo(path)
+        assert (len(memo), memo.served, memo.evaluated) == (0, 0, 0)
+        points, evaluated, served = evaluate_analytic([model], memo)
+        assert (evaluated, served) == (1, 0)
+        assert points[0] != self.point()
+        assert (memo.served, memo.evaluated) == (0, 1)
+
     def test_corrupt_file_is_tolerated(self, tmp_path):
         path = tmp_path / "memo.json"
         path.write_text("{not json")

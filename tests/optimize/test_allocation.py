@@ -88,6 +88,17 @@ class TestOptimizeAllocation:
         with pytest.raises(OptimizationError):
             optimize_allocation(model)
 
+    def test_overflow_everywhere_raises(self, simple_costs):
+        # lambda_P * C_P > 709 already at P = 1: exp() overflows on the
+        # whole search domain, so there is no finite optimum to report.
+        model = PatternModel(
+            ErrorModel(lambda_ind=100.0, fail_stop_fraction=0.5),
+            simple_costs,
+            AmdahlSpeedup(0.1),
+        )
+        with pytest.raises(OptimizationError, match="no finite optimum"):
+            optimize_allocation(model)
+
     def test_invalid_range_raises(self, hera_sc1):
         with pytest.raises(OptimizationError):
             optimize_allocation(hera_sc1, p_min=100.0, p_max=10.0)

@@ -24,12 +24,10 @@ from repro.core import (
     ResilienceCosts,
     VerificationCost,
 )
+from repro.exceptions import OptimizationError
+from repro.optimize import allocation
 from repro.optimize.allocation import optimize_allocation, optimize_allocation_batch
 from repro.optimize.grid import refine_log_minimum, refine_log_minimum_batch
-from repro.optimize.period import (
-    optimize_period_batch,
-    optimize_period_batch_grouped,
-)
 from repro.platforms import build_model
 
 FLOATFMT = "{:.6g}"  # the emitters' float rendering (FigureResult.table)
@@ -148,31 +146,58 @@ class TestAllocationBatchParity:
         assert all(r.processors == int(r.processors) for r in batch)
 
 
-class TestGroupedPeriodBatch:
-    def test_matches_per_model_batches(self):
-        rng = np.random.default_rng(42)
-        models = [random_model(rng) for _ in range(5)]
-        sizes = np.array([17, 9, 33, 1, 17])
-        Ps = [
-            np.logspace(1.0, 4.0 + j, size)
-            for j, (size, _) in enumerate(zip(sizes, models))
-        ]
-        want_T, want_H = [], []
-        for model, P in zip(models, Ps):
-            T, H = optimize_period_batch(model, P)
-            want_T.append(T)
-            want_H.append(H)
-        got_T, got_H = optimize_period_batch_grouped(
-            models, np.concatenate(Ps), sizes
-        )
-        np.testing.assert_array_equal(got_T, np.concatenate(want_T))
-        np.testing.assert_array_equal(got_H, np.concatenate(want_H))
+def count_overhead_cells(monkeypatch) -> dict[str, int]:
+    """Spy on ``PatternModel.overhead``: calls and cells evaluated."""
+    counts = {"calls": 0, "cells": 0}
+    real = PatternModel.overhead
 
-    def test_sizes_must_partition(self, hera_sc1):
-        with pytest.raises(Exception):
-            optimize_period_batch_grouped(
-                [hera_sc1], np.array([100.0, 200.0]), np.array([3])
-            )
+    def spy(self, T, P):
+        counts["calls"] += 1
+        counts["cells"] += int(np.broadcast(np.asarray(T), np.asarray(P)).size)
+        return real(self, T, P)
+
+    monkeypatch.setattr(PatternModel, "overhead", spy)
+    return counts
+
+
+class TestAllocationNfev:
+    """``nfev`` is the number of overhead cells actually evaluated."""
+
+    def test_single_model_counts_cells(self, monkeypatch, hera_sc1):
+        counts = count_overhead_cells(monkeypatch)
+        result = optimize_allocation(hera_sc1)
+        assert result.nfev == counts["cells"] == counts["calls"] * 17 * 17
+
+    def test_batch_counts_cells(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        models = [random_model(rng) for _ in range(8)]
+        counts = count_overhead_cells(monkeypatch)
+        results = optimize_allocation_batch(models)
+        assert sum(r.nfev for r in results) == counts["cells"]
+        # One broadcast call per round, however many models ride along.
+        assert counts["calls"] == max(r.nfev for r in results) // (17 * 17)
+
+    def test_integer_mode_adds_period_solves(self, monkeypatch, hera_sc1):
+        counts = count_overhead_cells(monkeypatch)
+        result = optimize_allocation(hera_sc1, integer=True)
+        assert result.nfev == counts["cells"]
+
+    def test_widened_window_counts_both_zooms(self, monkeypatch, hera_sc1):
+        # Hera's optimum sits 0.0045 decades below T_YD(P): a 0.003-decade
+        # window pins, the once-widened 0.006-decade one does not.  (The
+        # narrow P range keeps such a thin box aligned with the valley.)
+        want = optimize_allocation(hera_sc1, p_min=200.0, p_max=215.0)
+        monkeypatch.setattr(allocation, "_V_DECADES", 0.003)
+        counts = count_overhead_cells(monkeypatch)
+        got = optimize_allocation(hera_sc1, p_min=200.0, p_max=215.0)
+        assert got.nfev == counts["cells"] > want.nfev
+        assert got.overhead == pytest.approx(want.overhead, rel=1e-12)
+        assert got.processors == pytest.approx(want.processors, rel=1e-6)
+
+    def test_still_pinned_after_widening_raises(self, monkeypatch, hera_sc1):
+        monkeypatch.setattr(allocation, "_V_DECADES", 0.001)
+        with pytest.raises(OptimizationError, match="monotone in T"):
+            optimize_allocation(hera_sc1)
 
 
 class TestRefineLogMinimumBatch:
